@@ -3,11 +3,13 @@ Gaussian theory, independence tests, and a reproducible simulation harness."""
 
 from .dcovstats import (
     BandwidthSpec,
+    DcovParts,
     DegenerateSample,
     KernelSpec,
     PairedSample,
     SampleTooSmall,
     dcor_star,
+    dcov_parts,
     dcov_star,
     dcov_star_kernel,
     dcov_star_marginal,

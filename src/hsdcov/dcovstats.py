@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class KernelSpec:
     """Radial kernel f applied to distance/bandwidth ratios, with derivative.
 
     Built-ins: identity f(w)=w, gaussian f(w)=exp(-w^2/2), laplace
-    f(w)=exp(-w). Custom kernels must supply f_prime explicitly; no numerical
+    f(w)=exp(-w). f may overwrite its float64 argument, as the built-ins do.
+    Custom kernels must supply f_prime explicitly; no numerical
     differentiation happens downstream.
     """
 
@@ -72,13 +73,17 @@ def identity_kernel() -> KernelSpec:
 def gaussian_kernel() -> KernelSpec:
     return KernelSpec(
         "gaussian",
-        lambda w: np.exp(-0.5 * np.square(w)),
+        lambda w: np.exp(np.multiply(np.square(w, out=w), -0.5, out=w), out=w),
         lambda w: -w * math.exp(-0.5 * w * w),
     )
 
 
 def laplace_kernel() -> KernelSpec:
-    return KernelSpec("laplace", lambda w: np.exp(-w), lambda w: -math.exp(-w))
+    return KernelSpec(
+        "laplace",
+        lambda w: np.exp(np.negative(w, out=w), out=w),
+        lambda w: -math.exp(-w),
+    )
 
 
 def custom_kernel(f, f_prime) -> KernelSpec:
@@ -160,9 +165,7 @@ def kernel_matrix(x, kernel: KernelSpec, gamma: float) -> Matrix:
     """
     if not gamma > 0:
         raise ValueError(f"bandwidth must be positive, got {gamma}")
-    d = np.sqrt(pairwise_sq_distances(x)) / gamma
-    k = kernel.f(d)
-    k = np.asarray(k, dtype=np.float64)
+    k = np.asarray(kernel.f(distance_matrix(x) / gamma), dtype=np.float64)
     np.fill_diagonal(k, 0.0)
     if not np.all(np.isfinite(k)):
         raise ValueError(f"{kernel.kind} kernel produced non-finite values")
@@ -187,9 +190,127 @@ def u_center(a) -> Matrix:
     return out
 
 
-def _u_inner(a_star: Matrix, b_star: Matrix) -> float:
-    n = a_star.shape[0]
-    return float(np.sum(a_star * b_star)) / (n * (n - 3))
+def distance_matrix(x) -> Matrix:
+    """Euclidean distances between the rows of x: exactly symmetric, zero diagonal."""
+    d = pairwise_sq_distances(x)
+    return np.sqrt(d, out=d)
+
+
+def pairwise_distance_median(x, dist: Optional[Matrix] = None) -> float:
+    """Lower median of {|X_s - X_t| : s < t}; ``dist`` may give x's distances."""
+    d = distance_matrix(x) if dist is None else dist
+    n = d.shape[0]
+    if n < 2:
+        raise SampleTooSmall("median bandwidth needs n >= 2")
+    # the pairs s < t row by row: half a matrix and no index arrays
+    upper = np.concatenate([d[s, s + 1 :] for s in range(n - 1)])
+    k = (upper.size - 1) // 2
+    upper.partition(k)
+    if upper[k] == 0.0 and not upper.any():
+        raise DegenerateSample("all pairwise distances are zero")
+    return float(upper[k])
+
+
+def estimate_tau(x) -> float:
+    """sqrt of the mean squared pairwise distance over distinct pairs, in
+    closed form: that mean is 2 sum_i |X_i - mean(X)|^2 / (n - 1)."""
+    m = as_matrix(x, "observations")
+    if m.shape[0] < 2:
+        raise SampleTooSmall("tau estimation needs n >= 2")
+    c = m - m.mean(axis=0)
+    return math.sqrt(2.0 * float(np.vdot(c, c)) / (m.shape[0] - 1))
+
+
+def resolve_bandwidth(
+    x, spec: BandwidthSpec, tau: Optional[float] = None, dist: Optional[Matrix] = None
+) -> float:
+    """Resolve a bandwidth policy to a concrete gamma for one data block.
+
+    ``tau`` supplies the population value for the rho policy; when None the
+    value is estimated from the data. ``dist`` is passed to the median.
+    """
+    if spec.policy == "fixed":
+        return float(spec.gamma)
+    if spec.policy == "median":
+        return pairwise_distance_median(x, dist)
+    t = float(tau) if tau is not None else estimate_tau(x)
+    return t / float(spec.rho_target)
+
+
+def _kernel_block(x, kernel, spec, tau=None, dist=None):
+    """(K, row sums of K, gamma) for one block, K being the zero-diagonal kernel
+    matrix less its off-diagonal mean, which U-centring ignores; removing it
+    keeps ``_u_inner`` well conditioned and zeroes a constant block. ``dist``
+    is only read; without it the distances are built here and overwritten."""
+    d = distance_matrix(x) if dist is None else dist
+    n = d.shape[0]
+    if n < 4:
+        raise SampleTooSmall(f"U-centred statistics need n >= 4, got {n}")
+    gamma = resolve_bandwidth(x, spec, tau, d)
+    if not gamma > 0:
+        raise ValueError(f"bandwidth must be positive, got {gamma}")
+    w = np.divide(d, gamma, out=d if dist is None else None)
+    k = np.asarray(kernel.f(w), dtype=np.float64)
+    np.fill_diagonal(k, 0.0)
+    total = float(k.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"{kernel.kind} kernel produced non-finite values")
+    k -= total / (n * (n - 1))
+    np.fill_diagonal(k, 0.0)
+    return k, k.sum(axis=1), gamma
+
+
+def _u_inner(a, b) -> float:
+    """(1/(n(n-3))) sum_{k != l} A*_{kl} B*_{kl} for two ``_kernel_block``
+    results, by the U-centring inner-product identity (Szekely & Rizzo 2014)
+    on row sums r, so A* and B* are never formed:
+    <A*, B*> = <A, B> - 2 <r_a, r_b>/(n-2) + (1'r_a)(1'r_b)/((n-1)(n-2))."""
+    (ka, ra, _), (kb, rb, _) = a, b
+    n = ka.shape[0]
+    total = float(np.vdot(ka, kb)) - 2.0 / (n - 2) * float(ra @ rb)
+    total += float(ra.sum()) * float(rb.sum()) / ((n - 1) * (n - 2))
+    return total / (n * (n - 3))
+
+
+class DcovParts(NamedTuple):
+    """The U-centred inner products behind the studentized statistic, and
+    the bandwidths they were computed at."""
+
+    v_xy: float
+    v_x: float
+    v_y: float
+    gamma: tuple[float, float]
+    n: int
+
+    @property
+    def degenerate(self) -> bool:
+        """A marginal (a sum of squares) is not positive, as for a constant
+        block, or the product underflows: statistic and correlation are 0."""
+        v_x, v_y = self.v_x, self.v_y
+        return not (v_x > 0.0 and v_y > 0.0 and v_x * v_y > _DENOM_FLOOR)
+
+    def studentized(self) -> float:
+        """n v_xy / sqrt(2 v_x v_y), or 0 when degenerate."""
+        if self.degenerate:
+            return 0.0
+        return self.n * self.v_xy / math.sqrt(2.0 * self.v_x * self.v_y)
+
+
+def dcov_parts(
+    sample: PairedSample,
+    kernels: tuple[KernelSpec, KernelSpec] = (identity_kernel(), identity_kernel()),
+    bandwidths: tuple[BandwidthSpec, BandwidthSpec] = (BandwidthSpec.fixed(1.0),) * 2,
+    tau=None,
+    dists=None,
+) -> DcovParts:
+    """The statistic core. Each block's distance matrix is built once from
+    column-centred data (or read from ``dists``), its bandwidth resolved from
+    it (``tau``: population values for the rho policy) and the kernel applied
+    in place; v_xy, v_x and v_y then take row sums and one ``vdot`` each."""
+    tau, dists = tau or (None, None), dists or (None, None)
+    bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, tau, dists)
+    parts = _u_inner(bx, by), _u_inner(bx, bx), _u_inner(by, by)
+    return DcovParts(*parts, (bx[2], by[2]), sample.n)
 
 
 def dcov_star(sample: PairedSample) -> float:
@@ -197,15 +318,12 @@ def dcov_star(sample: PairedSample) -> float:
 
     (1/(n(n-3))) sum_{k != l} A*_{kl} B*_{kl}; may be negative.
     """
-    a = u_center(kernel_matrix(sample.x, identity_kernel(), 1.0))
-    b = u_center(kernel_matrix(sample.y, identity_kernel(), 1.0))
-    return _u_inner(a, b)
+    return dcov_parts(sample).v_xy
 
 
 def dcov_star_marginal(x) -> float:
     """dcov_star of a block with itself; a sum of squares, hence >= 0."""
-    a = u_center(kernel_matrix(x, identity_kernel(), 1.0))
-    return _u_inner(a, a)
+    return dcov_star_kernel_marginal(x, identity_kernel(), 1.0)
 
 
 def dcov_star_kernel(
@@ -215,16 +333,12 @@ def dcov_star_kernel(
 ) -> float:
     """Generalized sample distance covariance with per-block kernels and
     bandwidths, built on zero-diagonal kernel matrices."""
-    kx, ky = kernels
-    gx, gy = gamma
-    a = u_center(kernel_matrix(sample.x, kx, gx))
-    b = u_center(kernel_matrix(sample.y, ky, gy))
-    return _u_inner(a, b)
+    return dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma))).v_xy
 
 
 def dcov_star_kernel_marginal(x, kernel: KernelSpec, gamma: float) -> float:
-    a = u_center(kernel_matrix(x, kernel, gamma))
-    return _u_inner(a, a)
+    block = _kernel_block(x, kernel, BandwidthSpec.fixed(gamma))
+    return _u_inner(block, block)
 
 
 def dcor_star(
@@ -232,55 +346,12 @@ def dcor_star(
     kernels: tuple[KernelSpec, KernelSpec] = (identity_kernel(), identity_kernel()),
     gamma: tuple[float, float] = (1.0, 1.0),
 ) -> float:
-    """Kernelized distance correlation with the 0/0 -> 0 convention.
-
-    Finite-sample marginals are sums of squares, so a denominator product
-    <= 0 can only arise through round-off; it is treated as the degenerate
-    case and maps to 0.
-    """
-    v_xy = dcov_star_kernel(sample, kernels, gamma)
-    v_x = dcov_star_kernel_marginal(sample.x, kernels[0], gamma[0])
-    v_y = dcov_star_kernel_marginal(sample.y, kernels[1], gamma[1])
-    denom_sq = v_x * v_y
-    if denom_sq <= 0.0 or denom_sq < _DENOM_FLOOR:
+    """Kernelized distance correlation with the 0/0 -> 0 convention: a
+    degenerate sample (``DcovParts.degenerate``) maps to 0."""
+    parts = dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma)))
+    if parts.degenerate:
         return 0.0
-    return v_xy / math.sqrt(denom_sq)
-
-
-def pairwise_distance_median(x) -> float:
-    """Median over {|X_s - X_t| : s < t}, lower-median for even counts."""
-    d = np.sqrt(pairwise_sq_distances(x))
-    n = d.shape[0]
-    if n < 2:
-        raise SampleTooSmall("median bandwidth needs n >= 2")
-    upper = d[np.triu_indices(n, k=1)]
-    if np.all(upper == 0.0):
-        raise DegenerateSample("all pairwise distances are zero")
-    upper.sort()
-    return float(upper[(upper.size - 1) // 2])
-
-
-def estimate_tau(x) -> float:
-    """sqrt of the mean squared pairwise distance over distinct pairs."""
-    d2 = pairwise_sq_distances(x)
-    n = d2.shape[0]
-    if n < 2:
-        raise SampleTooSmall("tau estimation needs n >= 2")
-    return math.sqrt(float(d2[np.triu_indices(n, k=1)].mean()))
-
-
-def resolve_bandwidth(x, spec: BandwidthSpec, tau: Optional[float] = None) -> float:
-    """Resolve a bandwidth policy to a concrete gamma for one data block.
-
-    ``tau`` supplies the population value for the rho policy; when None the
-    value is estimated from the data.
-    """
-    if spec.policy == "fixed":
-        return float(spec.gamma)
-    if spec.policy == "median":
-        return pairwise_distance_median(x)
-    t = float(tau) if tau is not None else estimate_tau(x)
-    return t / float(spec.rho_target)
+    return parts.v_xy / math.sqrt(parts.v_x * parts.v_y)
 
 
 def dcov_ustat_oracle(sample: PairedSample) -> float:

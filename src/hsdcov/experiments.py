@@ -16,13 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dcovstats import (
-    BandwidthSpec,
-    KernelSpec,
-    identity_kernel,
-    u_center,
-)
-from .matcore import frobenius_norm_sq, pairwise_sq_distances
+from .dcovstats import BandwidthSpec, KernelSpec, dcov_parts, distance_matrix, identity_kernel
+from .matcore import frobenius_norm_sq
 from .simgen import NoiseDist, SimScenario, derive_stream, sample_factor, sample_gaussian
 from .testkit import normal_cdf, normal_quantile
 from .theory import CovarianceBlocks, mean_expansion, sigma_bar_sq, tau_sq, theoretical_power, varrho
@@ -70,29 +65,6 @@ def _ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
-
-
-def _resolve_gamma_from_distance(
-    dist: np.ndarray, spec: BandwidthSpec, tau: Optional[float]
-) -> float:
-    """Bandwidth resolution given a precomputed distance matrix."""
-    if spec.policy == "fixed":
-        return float(spec.gamma)
-    n = dist.shape[0]
-    upper = dist[np.triu_indices(n, k=1)]
-    if spec.policy == "median":
-        if np.all(upper == 0.0):
-            raise ValueError("all pairwise distances are zero")
-        upper = np.sort(upper)
-        return float(upper[(upper.size - 1) // 2])
-    t = float(tau) if tau is not None else math.sqrt(float(np.mean(upper * upper)))
-    return t / float(spec.rho_target)
-
-
-def _kernel_centered(dist: np.ndarray, kernel: KernelSpec, gamma: float) -> np.ndarray:
-    k = np.asarray(kernel.f(dist / gamma), dtype=np.float64)
-    np.fill_diagonal(k, 0.0)
-    return u_center(k)
 
 
 @dataclass(frozen=True)
@@ -161,15 +133,8 @@ def _clt_replication(cfg: CltConfig, blocks: CovarianceBlocks, index: int):
             math.sqrt(tau_sq(blocks.sigma_x)),
             math.sqrt(tau_sq(blocks.sigma_y)),
         )
-    dist_x = np.sqrt(pairwise_sq_distances(sample.x))
-    dist_y = np.sqrt(pairwise_sq_distances(sample.y))
-    gamma_x = _resolve_gamma_from_distance(dist_x, cfg.bandwidths[0], tau_pop[0])
-    gamma_y = _resolve_gamma_from_distance(dist_y, cfg.bandwidths[1], tau_pop[1])
-    a_star = _kernel_centered(dist_x, cfg.kernels[0], gamma_x)
-    b_star = _kernel_centered(dist_y, cfg.kernels[1], gamma_y)
-    n = sample.n
-    value = float(np.sum(a_star * b_star)) / (n * (n - 3))
-    return value, gamma_x, gamma_y
+    parts = dcov_parts(sample, cfg.kernels, cfg.bandwidths, tau_pop)
+    return (parts.v_xy, *parts.gamma)
 
 
 def run_clt(cfg: CltConfig) -> CltResult:
@@ -262,40 +227,24 @@ class PowerResult:
 
 
 def _power_replication(cfg: PowerConfig, rho_index: int, rep: int) -> list[bool]:
-    """One dataset, evaluated across every (kernel, bandwidth) cell; the
-    distance matrices are shared so universality comparisons are paired."""
+    """One dataset across every (kernel, bandwidth) cell, sharing the distance
+    matrices so universality comparisons are paired. The identity kernel's
+    statistic does not depend on the bandwidth and is computed once."""
     rho = cfg.rho_grid[rho_index]
     scenario = SimScenario(n=cfg.n, p=cfg.p, rho=rho, dist=cfg.dist)
     stream = derive_stream(cfg.seed, rho_index * cfg.reps + rep)
     sample = sample_factor(scenario, stream)
-    dist_x = np.sqrt(pairwise_sq_distances(sample.x))
-    dist_y = np.sqrt(pairwise_sq_distances(sample.y))
-    tau_pop = scenario.population_tau()
+    dists = (distance_matrix(sample.x), distance_matrix(sample.y))
+    tau_pop = (scenario.population_tau(), scenario.population_tau())
     threshold = normal_quantile(cfg.alpha / 2.0)
 
-    centered: dict[tuple[str, str, int], tuple[np.ndarray, float]] = {}
-    for kernel in cfg.kernels:
-        for bw in cfg.bandwidths:
-            for which, dist in ((0, dist_x), (1, dist_y)):
-                key = (kernel.kind, bw.label(), which)
-                if key in centered:
-                    continue
-                gamma = _resolve_gamma_from_distance(dist, bw, tau_pop)
-                star = _kernel_centered(dist, kernel, gamma)
-                centered[key] = (star, float(np.sum(star * star)))
-
-    n = cfg.n
     rejections = []
     for kernel in cfg.kernels:
+        stat = None
         for bw in cfg.bandwidths:
-            a_star, v_x = centered[(kernel.kind, bw.label(), 0)]
-            b_star, v_y = centered[(kernel.kind, bw.label(), 1)]
-            v_xy = float(np.sum(a_star * b_star)) / (n * (n - 3))
-            denom_sq = 2.0 * v_x * v_y / (n * (n - 3)) ** 2
-            if denom_sq <= 0.0:
-                rejections.append(False)
-                continue
-            stat = n * v_xy / math.sqrt(denom_sq)
+            if stat is None or kernel.kind != "identity":
+                parts = dcov_parts(sample, (kernel, kernel), (bw, bw), tau_pop, dists)
+                stat = parts.studentized()
             rejections.append(abs(stat) > threshold)
     return rejections
 

@@ -166,16 +166,22 @@ def sym_eigenvalues(s, max_sweeps: int = 100) -> Matrix:
 def pairwise_sq_distances(x) -> Matrix:
     """n x n matrix of squared Euclidean distances between rows of ``x``.
 
-    Computed via ``|a|^2 + |b|^2 - 2 a.b`` with cached row norms; negative
-    round-off is clamped to zero so downstream square roots are safe. The
-    diagonal is exactly zero and the result is exactly symmetric.
+    Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows; negative
+    round-off is clamped to zero. The diagonal is exactly zero, and the result
+    is exactly symmetric: the Gram matrix is, and ``|a|^2 + |b|^2`` is one term.
     """
     m = as_matrix(x, "observations")
     if m.shape[0] < 1:
         raise ValueError("need at least one observation row")
-    sq = np.sum(m * m, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
-    np.maximum(d, 0.0, out=d)
-    d = 0.5 * (d + d.T)
+    m = m - m.mean(axis=0)
+    d = m @ m.T
+    sq = np.diag(d).copy()
+    # row blocks of 1 MiB: no n x n temporary, and each block stays in cache
+    step = max(1, (1 << 17) // d.shape[0])
+    for lo in range(0, d.shape[0], step):
+        block = d[lo : lo + step]
+        block *= -2.0
+        block += sq[lo : lo + step, None] + sq
+        np.maximum(block, 0.0, out=block)
     np.fill_diagonal(d, 0.0)
     return d

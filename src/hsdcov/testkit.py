@@ -7,16 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dcovstats import (
-    BandwidthSpec,
-    KernelSpec,
-    PairedSample,
-    SampleTooSmall,
-    dcov_star_kernel,
-    dcov_star_kernel_marginal,
-    identity_kernel,
-    resolve_bandwidth,
-)
+from .dcovstats import BandwidthSpec, KernelSpec, PairedSample, dcov_parts, identity_kernel
 
 
 def normal_cdf(x: float) -> float:
@@ -119,41 +110,22 @@ def dcor_test(
     covariance: statistic n v_xy / sqrt(2 v_x v_y) against z_{alpha/2}.
 
     The factor n is used rather than sqrt(n(n-1)); asymptotically equivalent,
-    fixed here so results are bit-comparable. A nonpositive denominator
-    product (constant data) yields statistic 0, no rejection, p-value 1 and
-    the degenerate flag, since the null is indistinguishable from degeneracy.
+    fixed here so results are bit-comparable. A degenerate sample (constant
+    data) yields statistic 0, no rejection, p-value 1 and the degenerate flag,
+    since the null is indistinguishable from degeneracy.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    n = sample.n
-    if n < 4:
-        raise SampleTooSmall(f"dcor_test needs n >= 4, got {n}")
-    tau_x, tau_y = tau if tau is not None else (None, None)
-    gamma_x = resolve_bandwidth(sample.x, bandwidths[0], tau_x)
-    gamma_y = resolve_bandwidth(sample.y, bandwidths[1], tau_y)
-    v_xy = dcov_star_kernel(sample, kernels, (gamma_x, gamma_y))
-    v_x = dcov_star_kernel_marginal(sample.x, kernels[0], gamma_x)
-    v_y = dcov_star_kernel_marginal(sample.y, kernels[1], gamma_y)
+    parts = dcov_parts(sample, kernels, bandwidths, tau)
+    stat = parts.studentized()
     threshold = normal_quantile(alpha / 2.0)
     kx, ky = kernels
-    label = kx.kind if kx.kind == ky.kind else f"{kx.kind}/{ky.kind}"
-    denom_sq = 2.0 * v_x * v_y
-    if denom_sq <= 0.0:
-        return TestResult(
-            statistic=0.0,
-            threshold=threshold,
-            reject=False,
-            p_value=1.0,
-            kernel_label=label,
-            bandwidth_used=(gamma_x, gamma_y),
-            degenerate=True,
-        )
-    stat = n * v_xy / math.sqrt(denom_sq)
     return TestResult(
         statistic=stat,
         threshold=threshold,
         reject=abs(stat) > threshold,
-        p_value=2.0 * (1.0 - normal_cdf(abs(stat))),
-        kernel_label=label,
-        bandwidth_used=(gamma_x, gamma_y),
+        p_value=math.erfc(abs(stat) / math.sqrt(2.0)),  # no underflow in the tail
+        kernel_label=kx.kind if kx.kind == ky.kind else f"{kx.kind}/{ky.kind}",
+        bandwidth_used=parts.gamma,
+        degenerate=parts.degenerate,
     )

@@ -155,6 +155,12 @@ class TestUCenter:
         with pytest.raises(SampleTooSmall):
             u_center(np.zeros((3, 3)))
 
+    def test_asymmetric_input_rejected(self):
+        a = np.ones((5, 5))
+        a[0, 1] = 2.0
+        with pytest.raises(ValueError, match="symmetric"):
+            u_center(a)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_row_sum_invariant_random(self, seed):
         rng = np.random.default_rng(seed)

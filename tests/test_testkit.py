@@ -85,6 +85,13 @@ class TestDcorTest:
             assert result.statistic == pytest.approx(n / math.sqrt(2.0), rel=1e-10)
             assert result.reject
 
+    def test_far_tail_p_value_does_not_underflow(self):
+        x = np.random.default_rng(37).normal(size=(37, 3))
+        result = dcor_test(PairedSample(x, x.copy()), 0.05)
+        assert result.statistic == pytest.approx(26.16, abs=0.01)
+        assert result.p_value > 0.0
+        assert result.p_value == math.erfc(result.statistic / math.sqrt(2.0))
+
     def test_reject_iff_pvalue_below_alpha(self):
         for seed in range(8):
             sample = seeded_sample(seed, 10, 2, 2)
