@@ -11,35 +11,65 @@ Exit codes: 0 success, 2 malformed input/flags, 3 semantic errors (dimension
 mismatch, too-small samples, non-PSD covariance, invalid perturbation scale).
 A config file (``--config``, JSON, same keys as the long flags with
 underscores) supplies defaults; explicit flags win. ``HSDCOV_SEED`` supplies
-the default master seed.
+the default master seed. Each subcommand's flags are declared once, in
+``_COMMANDS``, which builds the parser, the merge and the resolved config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dcovstats import (
+    KERNEL_NAMES,
     BandwidthSpec,
     DegenerateSample,
     PairedSample,
     SampleTooSmall,
     kernel_by_name,
 )
-from .experiments import CltConfig, PowerConfig, run_clt, run_power
-from .matcore import NotPositiveDefinite
+from .experiments import (
+    CltConfig,
+    PowerCell,
+    PowerConfig,
+    ReplicationError,
+    run_clt,
+    run_power,
+)
+from .matcore import EigenConvergenceError, NotPositiveDefinite
 from .simgen import NoiseDist, SimScenario
 from .testkit import dcor_test
-from .theory import CovarianceBlocks, minimax_eigencheck, theory_report
+from .theory import (
+    CovarianceBlocks,
+    DegenerateBlocks,
+    DegenerateKernel,
+    minimax_eigencheck,
+    theory_report,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SEMANTIC = 3
+
+# raised by the library on well-formed input it cannot use
+_SEMANTIC_ERRORS = (
+    ValueError,
+    ReplicationError,
+    SampleTooSmall,
+    DegenerateSample,
+    NotPositiveDefinite,
+    DegenerateBlocks,
+    DegenerateKernel,
+    EigenConvergenceError,
+)
 
 
 class CliError(Exception):
@@ -48,9 +78,43 @@ class CliError(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _malformed():
+    """Report a ValueError raised inside as malformed flags or config."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_INPUT) from exc
+
+
 def _default_seed() -> int:
     raw = os.environ.get("HSDCOV_SEED")
     return int(raw) if raw else 0
+
+
+def _tokens(text: str) -> list[str]:
+    return [tok for tok in text.split(",") if tok]
+
+
+def _float_list(value) -> list[float]:
+    """Comma-separated text, or a list as a resolved config records it."""
+    if not isinstance(value, (list, tuple)):
+        value = _tokens(str(value))
+    return [float(v) for v in value]
+
+
+class Flag(NamedTuple):
+    """One option of a subcommand: ``--name`` on the command line (``_``
+    spelled ``-``) and ``name`` in a config file. ``type`` converts flag and
+    config values alike, and a callable ``default`` is called when needed.
+    Recorded flags make up the resolved config that outputs embed."""
+
+    name: str
+    type: Callable[[Any], Any] = str
+    default: Any = None
+    choices: Optional[Sequence[str]] = None
+    recorded: bool = True
+    help: Optional[str] = None
 
 
 def _load_config(path: str | None) -> dict:
@@ -70,13 +134,28 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _resolve(flags: Sequence[Flag], args: dict, config: dict) -> dict:
+    """Each flag's value: the command line wins over the config file, which
+    wins over the default."""
+    values = {}
+    for flag in flags:
+        value = args.get(flag.name)
+        if value is None:
+            value = config.get(flag.name)
+        if value is None:
+            value = flag.default() if callable(flag.default) else flag.default
+        if value is not None:
+            try:
+                value = flag.type(value)
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"bad {flag.name} {value!r}: {exc}", EXIT_BAD_INPUT)
+        if flag.choices and value not in flag.choices:
+            raise CliError(
+                f"bad {flag.name} {value!r}: expected one of {', '.join(flag.choices)}",
+                EXIT_BAD_INPUT,
+            )
+        values[flag.name] = value
+    return values
 
 
 def _read_csv_matrix(path: str, skip_header: bool) -> np.ndarray:
@@ -109,17 +188,13 @@ def _read_csv_matrix(path: str, skip_header: bool) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(
                 ",".join(
-                    _format_float(c) if isinstance(c, float) else str(c) for c in row
+                    repr(float(c)) if isinstance(c, float) else str(c) for c in row
                 )
                 + "\n"
             )
@@ -134,279 +209,113 @@ def _dump_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_bandwidth(text: str) -> BandwidthSpec:
-    try:
-        return BandwidthSpec.parse(text)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-
-
-def _parse_kernel(name: str):
-    try:
-        return kernel_by_name(name)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-
-
-def _parse_dist(name: str) -> NoiseDist:
-    try:
-        return NoiseDist(name)
-    except ValueError:
-        raise CliError(
-            f"unknown noise distribution {name!r}; expected normal|uniform|t4",
-            EXIT_BAD_INPUT,
-        )
-
-
-def _cmd_test(args: argparse.Namespace, config: dict) -> int:
-    alpha = float(_merge(args, config, "alpha", 0.05))
-    kernel_name = _merge(args, config, "kernel", "identity")
-    bandwidth_text = _merge(args, config, "bandwidth", "fixed:1.0")
-    header = bool(_merge(args, config, "header", False))
-    x_path = _merge(args, config, "x", None)
-    y_path = _merge(args, config, "y", None)
-    if not x_path or not y_path:
+def _cmd_test(v: dict, config: dict) -> int:
+    if not v["x"] or not v["y"]:
         raise CliError("test requires --x and --y CSV paths", EXIT_BAD_INPUT)
-
-    x = _read_csv_matrix(x_path, header)
-    y = _read_csv_matrix(y_path, header)
+    x = _read_csv_matrix(v["x"], v["header"])
+    y = _read_csv_matrix(v["y"], v["header"])
     if x.shape[0] != y.shape[0]:
         raise CliError(
-            f"row count mismatch: {x_path} has {x.shape[0]} rows, "
-            f"{y_path} has {y.shape[0]}",
+            f"row count mismatch: {v['x']} has {x.shape[0]} rows, "
+            f"{v['y']} has {y.shape[0]}",
             EXIT_SEMANTIC,
         )
-    if x.shape[0] < 4:
-        raise CliError(
-            f"{x_path}: need at least 4 rows, got {x.shape[0]}", EXIT_SEMANTIC
-        )
-    kernel = _parse_kernel(kernel_name)
-    bandwidth = _parse_bandwidth(bandwidth_text)
-    try:
-        result = dcor_test(
-            PairedSample(x, y),
-            alpha,
-            kernels=(kernel, kernel),
-            bandwidths=(bandwidth, bandwidth),
-        )
-    except (SampleTooSmall, DegenerateSample, ValueError) as exc:
-        raise CliError(str(exc), EXIT_SEMANTIC)
-    payload = {
-        "statistic": result.statistic,
-        "threshold": result.threshold,
-        "p_value": result.p_value,
-        "reject": result.reject,
-        "degenerate": result.degenerate,
-        "kernel": result.kernel_label,
-        "bandwidth": list(result.bandwidth_used),
-        "config": {
-            "command": "test",
-            "x": x_path,
-            "y": y_path,
-            "alpha": alpha,
-            "kernel": kernel_name,
-            "bandwidth": bandwidth_text,
-            "header": header,
-        },
-    }
-    _dump_json(payload, getattr(args, "output", None))
-    return EXIT_OK
-
-
-def _cmd_clt(args: argparse.Namespace, config: dict) -> int:
-    n = int(_merge(args, config, "n", 200))
-    p = int(_merge(args, config, "p", 50))
-    rho = float(_merge(args, config, "rho", 0.0))
-    dist = _parse_dist(_merge(args, config, "dist", "normal"))
-    kernel_name = _merge(args, config, "kernel", "identity")
-    bandwidth_text = _merge(args, config, "bandwidth", "fixed:1.0")
-    reps = int(_merge(args, config, "reps", 200))
-    seed = int(_merge(args, config, "seed", _default_seed()))
-    standardize = _merge(args, config, "standardize", "empirical")
-    center = _merge(args, config, "center", "theory")
-    threads = int(_merge(args, config, "threads", 1))
-    csv_out = _merge(args, config, "csv_out", None)
-    json_out = _merge(args, config, "json_out", None)
-
-    kernel = _parse_kernel(kernel_name)
-    bandwidth = _parse_bandwidth(bandwidth_text)
-    try:
-        cfg = CltConfig(
-            reps=reps,
-            seed=seed,
-            scenario=SimScenario(n=n, p=p, rho=rho, dist=dist),
-            kernels=(kernel, kernel),
-            bandwidths=(bandwidth, bandwidth),
-            standardize=standardize,
-            center=center,
-            threads=threads,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-    result = run_clt(cfg)
-
-    resolved = {
-        "command": "clt",
-        "n": n,
-        "p": p,
-        "rho": rho,
-        "dist": dist.value,
-        "kernel": kernel_name,
-        "bandwidth": bandwidth_text,
-        "reps": reps,
-        "seed": seed,
-        "standardize": standardize,
-        "center": center,
-    }
-    if csv_out:
-        _write_csv(
-            csv_out,
-            ["prob", "normal_quantile", "sample_quantile"],
-            [
-                [float(pr), float(nq), float(sq)]
-                for pr, nq, sq in zip(
-                    result.probs, result.normal_quantiles, result.sample_quantiles
-                )
-            ],
-        )
-    _dump_json({"ks_distance": result.ks_distance, "config": resolved}, json_out)
-    return EXIT_OK
-
-
-def _cmd_power(args: argparse.Namespace, config: dict) -> int:
-    n = int(_merge(args, config, "n", 200))
-    p = int(_merge(args, config, "p", 50))
-    rho_grid_text = _merge(args, config, "rho_grid", "0.0")
-    kernels_text = _merge(args, config, "kernels", "identity")
-    bandwidths_text = _merge(args, config, "bandwidths", "fixed:1.0")
-    alpha = float(_merge(args, config, "alpha", 0.05))
-    reps = int(_merge(args, config, "reps", 500))
-    seed = int(_merge(args, config, "seed", _default_seed()))
-    dist = _parse_dist(_merge(args, config, "dist", "normal"))
-    threads = int(_merge(args, config, "threads", 1))
-    out = _merge(args, config, "out", None)
-    if not out:
-        raise CliError("power requires --out CSV path", EXIT_BAD_INPUT)
-
-    try:
-        if isinstance(rho_grid_text, (list, tuple)):
-            rho_grid = tuple(float(v) for v in rho_grid_text)
-        else:
-            rho_grid = tuple(float(tok) for tok in str(rho_grid_text).split(",") if tok)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad rho grid: {exc}", EXIT_BAD_INPUT)
-    kernels = tuple(_parse_kernel(tok) for tok in str(kernels_text).split(",") if tok)
-    bandwidths = tuple(
-        _parse_bandwidth(tok) for tok in str(bandwidths_text).split(",") if tok
+    kernel = kernel_by_name(v["kernel"])
+    with _malformed():
+        bandwidth = BandwidthSpec.parse(v["bandwidth"])
+    result = dcor_test(
+        PairedSample(x, y),
+        v["alpha"],
+        kernels=(kernel, kernel),
+        bandwidths=(bandwidth, bandwidth),
     )
-    try:
-        cfg = PowerConfig(
-            n=n,
-            p=p,
-            rho_grid=rho_grid,
-            kernels=kernels,
-            bandwidths=bandwidths,
-            alpha=alpha,
-            reps=reps,
-            seed=seed,
-            dist=dist,
-            threads=threads,
+    payload = dataclasses.asdict(result)
+    payload["kernel"] = payload.pop("kernel_label")
+    payload["bandwidth"] = payload.pop("bandwidth_used")
+    _dump_json({**payload, "config": config}, v["output"])
+    return EXIT_OK
+
+
+def _cmd_clt(v: dict, config: dict) -> int:
+    kernel = kernel_by_name(v["kernel"])
+    with _malformed():
+        bandwidth = BandwidthSpec.parse(v["bandwidth"])
+        cfg = CltConfig(
+            reps=v["reps"],
+            seed=v["seed"],
+            scenario=SimScenario(
+                n=v["n"], p=v["p"], rho=v["rho"], dist=NoiseDist(v["dist"])
+            ),
+            kernels=(kernel, kernel),
+            bandwidths=(bandwidth, bandwidth),
+            standardize=v["standardize"],
+            center=v["center"],
+            threads=v["threads"],
         )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
+    result = run_clt(cfg)
+    if v["csv_out"]:
+        _write_csv(
+            v["csv_out"],
+            ["prob", "normal_quantile", "sample_quantile"],
+            zip(result.probs, result.normal_quantiles, result.sample_quantiles),
+        )
+    _dump_json({"ks_distance": result.ks_distance, "config": config}, v["json_out"])
+    return EXIT_OK
+
+
+def _cmd_power(v: dict, config: dict) -> int:
+    if not v["out"]:
+        raise CliError("power requires --out CSV path", EXIT_BAD_INPUT)
+    with _malformed():
+        cfg = PowerConfig(
+            n=v["n"],
+            p=v["p"],
+            rho_grid=tuple(v["rho_grid"]),
+            kernels=tuple(map(kernel_by_name, _tokens(v["kernels"]))),
+            bandwidths=tuple(map(BandwidthSpec.parse, _tokens(v["bandwidths"]))),
+            alpha=v["alpha"],
+            reps=v["reps"],
+            seed=v["seed"],
+            dist=NoiseDist(v["dist"]),
+            threads=v["threads"],
+        )
     result = run_power(cfg)
 
     _write_csv(
-        out,
-        ["kernel", "bandwidth", "rho", "empirical_power", "theoretical_power", "std_err"],
-        [
-            [
-                c.kernel,
-                c.bandwidth,
-                float(c.rho),
-                float(c.empirical_power),
-                float(c.theoretical_power),
-                float(c.std_err),
-            ]
-            for c in result.cells
-        ],
+        v["out"],
+        [f.name for f in dataclasses.fields(PowerCell)],
+        map(dataclasses.astuple, result.cells),
     )
-    resolved = {
-        "command": "power",
-        "n": n,
-        "p": p,
-        "rho_grid": list(rho_grid),
-        "kernels": kernels_text,
-        "bandwidths": bandwidths_text,
-        "alpha": alpha,
-        "reps": reps,
-        "seed": seed,
-        "dist": dist.value,
-        "out": out,
-    }
-    _dump_json({"config": resolved}, out + ".meta.json")
+    _dump_json({"config": config}, v["out"] + ".meta.json")
     return EXIT_OK
 
 
-def _blocks_from_args(args: argparse.Namespace, config: dict) -> CovarianceBlocks:
-    sx_path = _merge(args, config, "sigma_x", None)
-    sy_path = _merge(args, config, "sigma_y", None)
-    sxy_path = _merge(args, config, "sigma_xy", None)
-    if sx_path or sy_path or sxy_path:
-        if not (sx_path and sy_path and sxy_path):
+def _blocks(v: dict) -> CovarianceBlocks:
+    paths = (v["sigma_x"], v["sigma_xy"], v["sigma_y"])
+    if any(paths):
+        if not all(paths):
             raise CliError(
                 "CSV covariance input needs all of --sigma-x, --sigma-y, --sigma-xy",
                 EXIT_BAD_INPUT,
             )
-        try:
-            return CovarianceBlocks(
-                _read_csv_matrix(sx_path, False),
-                _read_csv_matrix(sxy_path, False),
-                _read_csv_matrix(sy_path, False),
-            )
-        except NotPositiveDefinite as exc:
-            raise CliError(str(exc), EXIT_SEMANTIC)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_SEMANTIC)
-    p = _merge(args, config, "p", None)
-    q = _merge(args, config, "q", None)
-    rho_xy = _merge(args, config, "rho_xy", None)
-    if p is None or rho_xy is None:
+        return CovarianceBlocks(*(_read_csv_matrix(path, False) for path in paths))
+    if v["p"] is None or v["rho_xy"] is None:
         raise CliError(
             "theory requires --p/--q/--rho-xy or explicit CSV blocks",
             EXIT_BAD_INPUT,
         )
-    q = q if q is not None else p
-    try:
-        return CovarianceBlocks.identity_blocks(int(p), int(q), float(rho_xy))
-    except NotPositiveDefinite as exc:
-        raise CliError(str(exc), EXIT_SEMANTIC)
+    q = v["q"] if v["q"] is not None else v["p"]
+    with _malformed():
+        return CovarianceBlocks.identity_blocks(v["p"], q, v["rho_xy"])
 
 
-def _cmd_theory(args: argparse.Namespace, config: dict) -> int:
-    n = int(_merge(args, config, "n", 200))
-    alpha = float(_merge(args, config, "alpha", 0.05))
-    blocks = _blocks_from_args(args, config)
-    report = theory_report(blocks, n, alpha)
-    payload = {
-        "tau_x_sq": report.tau_x_sq,
-        "tau_y_sq": report.tau_y_sq,
-        "mean": report.mean,
-        "sigma1_sq": report.sigma1_sq,
-        "sigma2_sq": report.sigma2_sq,
-        "sigma_sq": report.sigma_sq,
-        "A": report.local_a,
-        "power": report.power,
-        "warnings": report.warnings,
-        "config": {
-            "command": "theory",
-            "n": n,
-            "alpha": alpha,
-            "p": blocks.p,
-            "q": blocks.q,
-        },
-    }
-    _dump_json(payload, getattr(args, "output", None))
+def _cmd_theory(v: dict, config: dict) -> int:
+    blocks = _blocks(v)
+    report = theory_report(blocks, v["n"], v["alpha"])
+    payload = dataclasses.asdict(report)
+    payload["A"] = payload.pop("local_a")
+    payload["config"] = {**config, "p": blocks.p, "q": blocks.q}
+    _dump_json(payload, v["output"])
     return EXIT_OK
 
 
@@ -420,56 +329,104 @@ def _read_sign_file(path: str, expected: int) -> tuple[np.ndarray, np.ndarray]:
     return m[0], m[1]
 
 
-def _cmd_eigencheck(args: argparse.Namespace, config: dict) -> int:
-    p = int(_merge(args, config, "p", 6))
-    q = int(_merge(args, config, "q", 6))
-    a = float(_merge(args, config, "a", 1.0 / (4 * 6 * 6)))
-    seed = int(_merge(args, config, "seed", _default_seed()))
-    u_path = _merge(args, config, "u_signs", None)
-    v_path = _merge(args, config, "v_signs", None)
-
+def _cmd_eigencheck(v: dict, config: dict) -> int:
+    p, q, a = v["p"], v["q"], v["a"]
     if abs(a) * p * q >= 1.0:
         raise CliError(
             f"|a| p q = {abs(a) * p * q} must be < 1 for a valid construction",
             EXIT_SEMANTIC,
         )
-    if u_path or v_path:
-        if not (u_path and v_path):
+    if v["u_signs"] or v["v_signs"]:
+        if not (v["u_signs"] and v["v_signs"]):
             raise CliError(
                 "explicit signs need both --u-signs and --v-signs", EXIT_BAD_INPUT
             )
-        u_pair = _read_sign_file(u_path, p)
-        v_pair = _read_sign_file(v_path, q)
+        u_pair = _read_sign_file(v["u_signs"], p)
+        v_pair = _read_sign_file(v["v_signs"], q)
     else:
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        u_pair = (
-            gen.choice([-1.0, 1.0], size=p),
-            gen.choice([-1.0, 1.0], size=p),
-        )
-        v_pair = (
-            gen.choice([-1.0, 1.0], size=q),
-            gen.choice([-1.0, 1.0], size=q),
-        )
-    try:
-        report = minimax_eigencheck(u_pair, v_pair, a)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_SEMANTIC)
-    payload = {
-        "max_identity_error": report.max_identity_error,
-        "nontrivial_eigencount": report.nontrivial_eigencount,
-        "lambda_values": report.lambda_values,
-        "config": {
-            "command": "eigencheck",
-            "p": p,
-            "q": q,
-            "a": a,
-            "seed": seed,
-            "u_signs": u_path,
-            "v_signs": v_path,
-        },
-    }
-    _dump_json(payload, getattr(args, "output", None))
+        gen = np.random.Generator(np.random.Philox(key=v["seed"]))
+        u_pair, v_pair = [
+            (gen.choice([-1.0, 1.0], size=d), gen.choice([-1.0, 1.0], size=d))
+            for d in (p, q)
+        ]
+    report = minimax_eigencheck(u_pair, v_pair, a)
+    _dump_json({**dataclasses.asdict(report), "config": config}, v["output"])
     return EXIT_OK
+
+
+class Command(NamedTuple):
+    run: Callable[[dict, dict], int]
+    help: str
+    flags: tuple[Flag, ...]
+
+
+_ALPHA = Flag("alpha", float, 0.05)
+_SEED = Flag("seed", int, _default_seed)
+_KERNEL = Flag("kernel", default="identity", choices=KERNEL_NAMES)
+_BANDWIDTH = Flag("bandwidth", default="fixed:1.0", help="fixed:<g> | median | rho:<target>")
+_DIST = Flag("dist", default="normal", choices=tuple(d.value for d in NoiseDist))
+_THREADS = Flag("threads", int, 1, recorded=False)
+_OUTPUT = Flag("output", recorded=False, help="write the JSON report here instead of stdout")
+
+_COMMANDS = {
+    "test": Command(_cmd_test, "independence test on two CSV files", (
+        Flag("x", help="CSV of X observations (rows) x coordinates"),
+        Flag("y", help="CSV of Y observations"),
+        _ALPHA,
+        _KERNEL,
+        _BANDWIDTH,
+        Flag("header", bool, False),
+        _OUTPUT,
+    )),
+    "clt": Command(_cmd_clt, "standardized-statistic QQ data and KS distance", (
+        Flag("n", int, 200),
+        Flag("p", int, 50),
+        Flag("rho", float, 0.0),
+        _DIST,
+        _KERNEL,
+        _BANDWIDTH,
+        Flag("reps", int, 200),
+        _SEED,
+        Flag("standardize", default="empirical", choices=("theory", "null", "empirical")),
+        Flag("center", default="theory", choices=("theory", "empirical")),
+        _THREADS,
+        Flag("csv_out", recorded=False),
+        Flag("json_out", recorded=False),
+    )),
+    "power": Command(_cmd_power, "empirical vs theoretical power table", (
+        Flag("n", int, 200),
+        Flag("p", int, 50),
+        Flag("rho_grid", _float_list, "0.0", help="comma-separated rho values"),
+        Flag("kernels", default="identity", help="comma-separated kernel names"),
+        Flag("bandwidths", default="fixed:1.0", help="comma-separated bandwidth specs"),
+        _ALPHA,
+        Flag("reps", int, 500),
+        _SEED,
+        _DIST,
+        _THREADS,
+        Flag("out", help="output CSV path"),
+    )),
+    "theory": Command(_cmd_theory, "closed-form report for a covariance", (
+        Flag("p", int),
+        Flag("q", int),
+        Flag("rho_xy", float),
+        Flag("sigma_x"),
+        Flag("sigma_y"),
+        Flag("sigma_xy"),
+        Flag("n", int, 200),
+        _ALPHA,
+        _OUTPUT,
+    )),
+    "eigencheck": Command(_cmd_eigencheck, "minimax perturbation identity check", (
+        Flag("p", int, 6),
+        Flag("q", int, 6),
+        Flag("a", float, 1.0 / (4 * 6 * 6)),
+        _SEED,
+        Flag("u_signs"),
+        Flag("v_signs"),
+        _OUTPUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,85 +437,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("test", help="independence test on two CSV files")
-    t.add_argument("--x", help="CSV of X observations (rows) x coordinates")
-    t.add_argument("--y", help="CSV of Y observations")
-    t.add_argument("--alpha", type=float)
-    t.add_argument("--kernel", choices=["identity", "gaussian", "laplace"])
-    t.add_argument("--bandwidth", help="fixed:<g> | median | rho:<target>")
-    t.add_argument("--header", action="store_const", const=True)
-    t.add_argument("--output", help="write the JSON report here instead of stdout")
-
-    c = sub.add_parser("clt", help="standardized-statistic QQ data and KS distance")
-    c.add_argument("--n", type=int)
-    c.add_argument("--p", type=int)
-    c.add_argument("--rho", type=float)
-    c.add_argument("--dist", choices=[d.value for d in NoiseDist])
-    c.add_argument("--kernel", choices=["identity", "gaussian", "laplace"])
-    c.add_argument("--bandwidth")
-    c.add_argument("--reps", type=int)
-    c.add_argument("--seed", type=int)
-    c.add_argument("--standardize", choices=["theory", "null", "empirical"])
-    c.add_argument("--center", choices=["theory", "empirical"])
-    c.add_argument("--threads", type=int)
-    c.add_argument("--csv-out", dest="csv_out")
-    c.add_argument("--json-out", dest="json_out")
-
-    w = sub.add_parser("power", help="empirical vs theoretical power table")
-    w.add_argument("--n", type=int)
-    w.add_argument("--p", type=int)
-    w.add_argument("--rho-grid", dest="rho_grid", help="comma-separated rho values")
-    w.add_argument("--kernels", help="comma-separated kernel names")
-    w.add_argument("--bandwidths", help="comma-separated bandwidth specs")
-    w.add_argument("--alpha", type=float)
-    w.add_argument("--reps", type=int)
-    w.add_argument("--seed", type=int)
-    w.add_argument("--dist", choices=[d.value for d in NoiseDist])
-    w.add_argument("--threads", type=int)
-    w.add_argument("--out", help="output CSV path")
-
-    th = sub.add_parser("theory", help="closed-form report for a covariance")
-    th.add_argument("--p", type=int)
-    th.add_argument("--q", type=int)
-    th.add_argument("--rho-xy", dest="rho_xy", type=float)
-    th.add_argument("--sigma-x", dest="sigma_x")
-    th.add_argument("--sigma-y", dest="sigma_y")
-    th.add_argument("--sigma-xy", dest="sigma_xy")
-    th.add_argument("--n", type=int)
-    th.add_argument("--alpha", type=float)
-    th.add_argument("--output")
-
-    e = sub.add_parser("eigencheck", help="minimax perturbation identity check")
-    e.add_argument("--p", type=int)
-    e.add_argument("--q", type=int)
-    e.add_argument("--a", type=float)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--u-signs", dest="u_signs")
-    e.add_argument("--v-signs", dest="v_signs")
-    e.add_argument("--output")
-
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            option = "--" + flag.name.replace("_", "-")
+            if flag.type is bool:
+                cmd.add_argument(
+                    option, dest=flag.name, action="store_const", const=True
+                )
+            else:
+                cmd.add_argument(
+                    option,
+                    dest=flag.name,
+                    type=flag.type,
+                    choices=flag.choices,
+                    help=flag.help,
+                )
     return parser
 
 
-_DISPATCH = {
-    "test": _cmd_test,
-    "clt": _cmd_clt,
-    "power": _cmd_power,
-    "theory": _cmd_theory,
-    "eigencheck": _cmd_eigencheck,
-}
+def _fail(exc: Exception, code: int) -> int:
+    print(f"hsdcov: error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        return _DISPATCH[args.command](args, config)
+        values = _resolve(command.flags, vars(args), _load_config(args.config))
+        config = {"command": args.command}
+        config.update((f.name, values[f.name]) for f in command.flags if f.recorded)
+        return command.run(values, config)
     except CliError as exc:
-        print(f"hsdcov: error: {exc}", file=sys.stderr)
-        return exc.code
+        return _fail(exc, exc.code)
+    except OSError as exc:  # an output path that cannot be written
+        return _fail(exc, EXIT_BAD_INPUT)
+    except _SEMANTIC_ERRORS as exc:
+        return _fail(exc, EXIT_SEMANTIC)
 
 
 if __name__ == "__main__":

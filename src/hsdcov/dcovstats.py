@@ -95,6 +95,7 @@ _KERNELS = {
     "gaussian": gaussian_kernel,
     "laplace": laplace_kernel,
 }
+KERNEL_NAMES = tuple(_KERNELS)
 
 
 def kernel_by_name(name: str) -> KernelSpec:

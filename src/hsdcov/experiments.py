@@ -44,11 +44,9 @@ def ks_distance(xs: Sequence[float]) -> float:
         raise ValueError("ks_distance requires finite values")
     arr = np.sort(arr)
     b = arr.size
-    best = 0.0
-    for i, x in enumerate(arr, start=1):
-        phi = normal_cdf(float(x))
-        best = max(best, i / b - phi, phi - (i - 1) / b)
-    return best
+    phi = np.array([normal_cdf(float(x)) for x in arr])
+    i = np.arange(1, b + 1)
+    return float(max(np.max(i / b - phi), np.max(phi - (i - 1) / b), 0.0))
 
 
 def empirical_quantiles(xs: Sequence[float], probs: Sequence[float]) -> list[float]:
@@ -209,6 +207,8 @@ class PowerConfig:
             raise ValueError("alpha must lie in (0,1)")
         if not self.rho_grid:
             raise ValueError("rho grid must be nonempty")
+        if not self.kernels or not self.bandwidths:
+            raise ValueError("kernels and bandwidths must be nonempty")
 
 
 @dataclass

@@ -8,8 +8,6 @@ are expressed relative to problem scale throughout.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -19,19 +17,12 @@ SYMMETRY_RTOL = 1e-12
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky pivot fell at or below the positive-definiteness threshold."""
+    """LAPACK rejected the matrix, or a Cholesky pivot fell at or below the
+    positive-definiteness threshold."""
 
 
 class EigenConvergenceError(Exception):
-    """Jacobi sweeps exhausted before the off-diagonal mass vanished."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
+    """LAPACK's symmetric eigensolver did not converge."""
 
 
 def as_matrix(a, name: str = "matrix") -> Matrix:
@@ -89,78 +80,36 @@ def trace_chain(ms) -> float:
 
 
 def cholesky(s) -> Matrix:
-    """Lower-triangular L with ``L @ L.T == S``.
+    """Lower-triangular L with ``L @ L.T == S``, from LAPACK.
 
-    Raises ``NotPositiveDefinite`` when a pivot drops to or below
-    ``dim * 1e-12 * max(diag(S))``.
+    Raises ``NotPositiveDefinite`` when LAPACK rejects S or a pivot
+    ``L[j, j]**2`` is at or below ``dim * 1e-12 * max(diag(S))``.
     """
     a = check_symmetric(s, "cholesky input")
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     threshold = n * 1e-12 * max(float(np.max(np.diag(a))), 0.0)
-    l = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - np.dot(l[j, :j], l[j, :j])
-        if pivot <= threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} (threshold {threshold:.3e})"
-            )
-        l[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            l[j + 1 :, j] = (a[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
-    return l
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{exc} (threshold {threshold:.3e})") from exc
+    pivots = np.diag(lower) ** 2
+    j = int(np.argmin(pivots))
+    if pivots[j] <= threshold:
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} (threshold {threshold:.3e})"
+        )
+    return lower
 
 
-def _offdiag_norm(a: Matrix) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-def sym_eigenvalues(s, max_sweeps: int = 100) -> Matrix:
-    """Eigenvalues of a symmetric matrix, nondecreasing.
-
-    Cyclic Jacobi rotations, stopping once the off-diagonal Frobenius mass
-    falls below ``1e-12 * ||S||_F``; adequate and simple at the dimensions
-    used here (<= ~500).
-    """
-    a = check_symmetric(s, "eigensolver input").copy()
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    threshold = 1e-12 * math.sqrt(frobenius_norm_sq(a))
-    if _offdiag_norm(a) <= threshold:
-        return np.sort(np.diag(a))
-    for _ in range(max_sweeps):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-100 * abs(diff):
-                    t = 0.0  # angle below fp resolution; rotation degenerates
-                else:
-                    theta = diff / (2.0 * apq)
-                    if theta >= 0.0:
-                        t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                    else:
-                        t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        if _offdiag_norm(a) <= threshold:
-            return np.sort(np.diag(a))
-    raise EigenConvergenceError(_offdiag_norm(a), max_sweeps)
+def sym_eigenvalues(s) -> Matrix:
+    """Eigenvalues of a symmetric matrix, nondecreasing, from LAPACK."""
+    a = check_symmetric(s, "eigensolver input")
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
 
 
 def pairwise_sq_distances(x) -> Matrix:

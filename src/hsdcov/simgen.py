@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcovstats import PairedSample
-from .matcore import cholesky
 from .theory import CovarianceBlocks
 
 _MASK64 = (1 << 64) - 1
@@ -78,11 +77,11 @@ def derive_stream(master_seed: int, index: int) -> RngStream:
 
 
 def sample_gaussian(blocks: CovarianceBlocks, n: int, rng: RngStream) -> PairedSample:
-    """n i.i.d. rows from N(0, Sigma) via the Cholesky factor; the first p
-    columns form x and the remaining q form y."""
+    """n i.i.d. rows from N(0, Sigma) via the blocks' cached Cholesky factor;
+    the first p columns form x and the remaining q form y."""
     if n < 1:
         raise ValueError("need n >= 1")
-    lower = cholesky(blocks.full())
+    lower = blocks.cholesky_factor
     gen = rng.generator()
     z = gen.standard_normal((n, blocks.p + blocks.q))
     rows = z @ lower.T

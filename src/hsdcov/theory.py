@@ -5,6 +5,7 @@ the rank-four perturbation eigenvalue identity used by the minimax prior."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -72,6 +73,13 @@ class CovarianceBlocks:
     @property
     def q(self) -> int:
         return self.sigma_y.shape[0]
+
+    @functools.cached_property
+    def cholesky_factor(self) -> Matrix:
+        """Cholesky factor of ``full()``, computed on first use and kept
+        (concurrent first uses may each compute it). Raises
+        ``NotPositiveDefinite`` for a singular covariance."""
+        return cholesky(self.full())
 
     def full(self) -> Matrix:
         top = np.hstack([self.sigma_x, self.sigma_xy])

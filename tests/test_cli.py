@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +340,97 @@ class TestConfigMerging:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert main(["--config", str(cfg), "theory", "--p", "4", "--rho-xy", "0"]) == 2
+
+
+class TestExitCodes:
+    """Library errors reach the documented 2/3 codes, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["clt", "--n", "3", "--p", "2", "--reps", "4"], 3),
+            (["power", "--n", "3", "--p", "2", "--reps", "2", "--out", "{d}/o.csv"], 3),
+            (["theory", "--p", "3", "--rho-xy", "0.1", "--n", "1"], 3),
+            (["theory", "--p", "-1", "--rho-xy", "0.1"], 2),
+            (["power", "--kernels", ",", "--out", "{d}/o.csv"], 2),
+            (["theory", "--p", "3", "--rho-xy", "0.1", "--output", "{d}/no/r.json"], 2),
+        ],
+    )
+    def test_exit_code(self, argv, code, tmp_path, capsys):
+        assert main([a.format(d=tmp_path) for a in argv]) == code
+        assert capsys.readouterr().err.startswith("hsdcov: error: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config", [{"kernel": "cubic"}, {"n": "many"}, {"bandwidth": "wide"}]
+    )
+    def test_bad_config_value_exit_2(self, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "clt", "--reps", "2"]) == 2
+
+
+# case: (command, flags of the first run, output flags, file embedding the config)
+REPLAY_CASES = {
+    "test": (
+        "test",
+        ["--x", "{d}/x.csv", "--y", "{d}/y.csv", "--kernel", "laplace",
+         "--bandwidth", "median", "--alpha", "0.1", "--header"],
+        ["--output", "{d}/{run}.json"],
+        "{d}/{run}.json",
+    ),
+    "clt": (
+        "clt",
+        ["--n", "30", "--p", "4", "--rho", "0.2", "--dist", "t4",
+         "--kernel", "gaussian", "--bandwidth", "rho:1.5", "--reps", "12",
+         "--seed", "8", "--standardize", "theory", "--center", "empirical"],
+        ["--csv-out", "{d}/{run}.csv", "--json-out", "{d}/{run}.json"],
+        "{d}/{run}.json",
+    ),
+    "power": (
+        "power",
+        ["--n", "30", "--p", "4", "--rho-grid", "0.1,0.3",
+         "--kernels", "identity,laplace", "--bandwidths", "fixed:2,rho:1.0",
+         "--alpha", "0.1", "--reps", "6", "--seed", "5", "--dist", "uniform"],
+        ["--out", "{d}/{run}.csv"],
+        "{d}/{run}.csv.meta.json",
+    ),
+    "theory": (
+        "theory",
+        ["--p", "5", "--q", "3", "--rho-xy", "0.2", "--n", "80", "--alpha", "0.1"],
+        ["--output", "{d}/{run}.json"],
+        "{d}/{run}.json",
+    ),
+    "theory-csv": (
+        "theory",
+        ["--sigma-x", "{d}/eye.csv", "--sigma-y", "{d}/eye.csv",
+         "--sigma-xy", "{d}/half.csv", "--n", "80"],
+        ["--output", "{d}/{run}.json"],
+        "{d}/{run}.json",
+    ),
+    "eigencheck": (
+        "eigencheck",
+        ["--p", "5", "--q", "4", "--a", "0.01", "--seed", "6"],
+        ["--output", "{d}/{run}.json"],
+        "{d}/{run}.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_output_replays_from_its_config(case, tmp_path):
+    command, flags, outputs, source = REPLAY_CASES[case]
+    rng = np.random.default_rng(4)
+    write_csv(tmp_path / "x.csv", rng.normal(size=(9, 3)).tolist())
+    write_csv(tmp_path / "y.csv", rng.normal(size=(9, 2)).tolist())
+    write_csv(tmp_path / "eye.csv", np.eye(3).tolist())
+    write_csv(tmp_path / "half.csv", (0.5 * np.eye(3)).tolist())
+
+    def fill(items, run):
+        return [item.format(d=tmp_path, run=run) for item in items]
+
+    assert main([command, *fill(flags, "first"), *fill(outputs, "first")]) == 0
+    replay_config = source.format(d=tmp_path, run="first")
+    assert main(["--config", replay_config, command, *fill(outputs, "second")]) == 0
+    for first, second in zip(fill(outputs[1::2], "first"), fill(outputs[1::2], "second")):
+        assert Path(first).read_bytes() == Path(second).read_bytes()

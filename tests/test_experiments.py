@@ -242,3 +242,8 @@ class TestRunPower:
         assert [c.empirical_power for c in a.cells] == [
             c.empirical_power for c in b.cells
         ]
+
+    @pytest.mark.parametrize("empty", ["kernels", "bandwidths"])
+    def test_empty_kernels_or_bandwidths_rejected(self, empty):
+        with pytest.raises(ValueError, match="nonempty"):
+            PowerConfig(n=20, p=2, rho_grid=(0.0,), **{empty: ()})

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hsdcov import theory
+from hsdcov.experiments import CltConfig, run_clt
 from hsdcov.matcore import (
     EigenConvergenceError,
     NotPositiveDefinite,
@@ -86,6 +88,36 @@ class TestCholesky:
         assert err <= 1e-10 * math.sqrt(frobenius_norm_sq(spd))
         assert np.allclose(np.triu(lower, k=1), 0.0)
 
+    def test_pivot_below_relative_threshold_raises(self):
+        # LAPACK factors this SPD matrix, but its second pivot 1e-14 lies
+        # below dim * 1e-12 * max(diag) = 2e-12
+        spd = np.diag([1.0, 1e-14])
+        assert np.linalg.cholesky(spd)[1, 1] > 0.0
+        with pytest.raises(NotPositiveDefinite, match="column 1"):
+            cholesky(spd)
+
+    def test_lapack_rejection_maps_to_not_positive_definite(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(indefinite)
+        with pytest.raises(NotPositiveDefinite) as err:
+            cholesky(indefinite)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_run_clt_factors_explicit_blocks_once(self, monkeypatch):
+        blocks = theory.CovarianceBlocks.identity_blocks(3, 2, 0.4)
+        shapes = []
+
+        def counting_cholesky(s):
+            shapes.append(np.shape(s))
+            return cholesky(s)
+
+        monkeypatch.setattr(theory, "cholesky", counting_cholesky)
+        cfg = CltConfig(reps=6, seed=2, blocks=blocks, n=20)
+        first = run_clt(cfg)
+        assert run_clt(cfg).raw == first.raw
+        assert shapes == [(5, 5)]  # one factorisation across 12 replications
+
 
 class TestSymEigenvalues:
     def test_identity(self):
@@ -125,6 +157,14 @@ class TestSymEigenvalues:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             sym_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
+
+    def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            sym_eigenvalues(np.eye(3))
 
 
 class TestPairwiseSqDistances:
