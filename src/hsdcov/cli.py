@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import os
 import sys
+import warnings
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -103,6 +103,14 @@ def _float_list(value) -> list[float]:
     return [float(v) for v in value]
 
 
+def _alpha(value) -> float:
+    """A test level, strictly between 0 and 1."""
+    alpha = float(value)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    return alpha
+
+
 class Flag(NamedTuple):
     """One option of a subcommand: ``--name`` on the command line (``_``
     spelled ``-``) and ``name`` in a config file. ``type`` converts flag and
@@ -159,33 +167,22 @@ def _resolve(flags: Sequence[Flag], args: dict, config: dict) -> dict:
 
 
 def _read_csv_matrix(path: str, skip_header: bool) -> np.ndarray:
-    rows: list[list[float]] = []
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CliError(f"cannot open {path}: {exc}", EXIT_BAD_INPUT)
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if skip_header and lineno == 1:
-                continue
-            if not row:
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise CliError(
-                    f"{path}: row {lineno}: non-numeric value", EXIT_BAD_INPUT
-                )
-    if not rows:
-        raise CliError(f"{path}: no data rows", EXIT_BAD_INPUT)
-    width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise CliError(
-                f"{path}: row {i}: expected {width} columns, got {len(r)}",
-                EXIT_BAD_INPUT,
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(
+                path,
+                delimiter=",",
+                ndmin=2,
+                comments=None,
+                quotechar='"',
+                skiprows=int(skip_header),
             )
-    return np.asarray(rows, dtype=np.float64)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT)
+    if rows.size == 0:
+        raise CliError(f"{path}: no data rows", EXIT_BAD_INPUT)
+    return rows
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -331,6 +328,8 @@ def _read_sign_file(path: str, expected: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_eigencheck(v: dict, config: dict) -> int:
     p, q, a = v["p"], v["q"], v["a"]
+    if p < 1 or q < 1:
+        raise CliError(f"p and q must be positive, got p={p}, q={q}", EXIT_BAD_INPUT)
     if abs(a) * p * q >= 1.0:
         raise CliError(
             f"|a| p q = {abs(a) * p * q} must be < 1 for a valid construction",
@@ -360,7 +359,7 @@ class Command(NamedTuple):
     flags: tuple[Flag, ...]
 
 
-_ALPHA = Flag("alpha", float, 0.05)
+_ALPHA = Flag("alpha", _alpha, 0.05)
 _SEED = Flag("seed", int, _default_seed)
 _KERNEL = Flag("kernel", default="identity", choices=KERNEL_NAMES)
 _BANDWIDTH = Flag("bandwidth", default="fixed:1.0", help="fixed:<g> | median | rho:<target>")
@@ -447,11 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                 )
             else:
                 cmd.add_argument(
-                    option,
-                    dest=flag.name,
-                    type=flag.type,
-                    choices=flag.choices,
-                    help=flag.help,
+                    option, dest=flag.name, choices=flag.choices, help=flag.help
                 )
     return parser
 

@@ -9,9 +9,11 @@ a deterministic fold in replication order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,10 +61,19 @@ def empirical_quantiles(xs: Sequence[float], probs: Sequence[float]) -> list[flo
 
 
 def _ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
+    """``[fn(i) for i in range(count)]`` on ``threads`` workers; a failure
+    is re-raised as ``ReplicationError`` carrying its index."""
+
+    def attempt(i: int):
+        try:
+            return fn(i)
+        except Exception as exc:
+            raise ReplicationError(i, exc) from exc
+
     if threads <= 1:
-        return [fn(i) for i in range(count)]
+        return [attempt(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(attempt, range(count)))
 
 
 @dataclass(frozen=True)
@@ -139,14 +150,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
     """Run the configured replications and standardize the statistics."""
     blocks = cfg.effective_blocks()
     n = cfg.effective_n()
-
-    def worker(i: int):
-        try:
-            return _clt_replication(cfg, blocks, i)
-        except Exception as exc:  # attach the replication index
-            raise ReplicationError(i, exc) from exc
-
-    results = _ordered_map(worker, cfg.reps, cfg.threads)
+    results = _ordered_map(partial(_clt_replication, cfg, blocks), cfg.reps, cfg.threads)
     values = np.array([r[0] for r in results])
 
     if cfg.standardize == "empirical":
@@ -187,7 +191,8 @@ def run_clt(cfg: CltConfig) -> CltResult:
 @dataclass(frozen=True)
 class PowerConfig:
     """Power grid: every kernel is paired with every bandwidth policy, both
-    applied to the two data blocks symmetrically."""
+    applied to the two data blocks symmetrically. ``scenarios`` holds one
+    factor-model scenario per rho, built (and so validated) up front."""
 
     n: int
     p: int
@@ -199,6 +204,7 @@ class PowerConfig:
     seed: int = 0
     dist: NoiseDist = NoiseDist.STD_NORMAL
     threads: int = 1
+    scenarios: tuple[SimScenario, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -209,6 +215,10 @@ class PowerConfig:
             raise ValueError("rho grid must be nonempty")
         if not self.kernels or not self.bandwidths:
             raise ValueError("kernels and bandwidths must be nonempty")
+        scenarios = tuple(
+            SimScenario(n=self.n, p=self.p, rho=rho, dist=self.dist) for rho in self.rho_grid
+        )
+        object.__setattr__(self, "scenarios", scenarios)
 
 
 @dataclass
@@ -226,60 +236,50 @@ class PowerResult:
     cells: list[PowerCell]
 
 
-def _power_replication(cfg: PowerConfig, rho_index: int, rep: int) -> list[bool]:
-    """One dataset across every (kernel, bandwidth) cell, sharing the distance
-    matrices so universality comparisons are paired. The identity kernel's
-    statistic does not depend on the bandwidth and is computed once."""
-    rho = cfg.rho_grid[rho_index]
-    scenario = SimScenario(n=cfg.n, p=cfg.p, rho=rho, dist=cfg.dist)
+def _power_replication(cfg: PowerConfig, rho_index: int, rep: int) -> list[float]:
+    """Studentized statistics of one dataset in every (kernel, bandwidth)
+    cell, sharing the distance matrices so universality comparisons are
+    paired. The identity kernel's statistic does not depend on the bandwidth
+    and is computed once."""
+    scenario = cfg.scenarios[rho_index]
     stream = derive_stream(cfg.seed, rho_index * cfg.reps + rep)
     sample = sample_factor(scenario, stream)
     dists = (distance_matrix(sample.x), distance_matrix(sample.y))
     tau_pop = (scenario.population_tau(), scenario.population_tau())
-    threshold = normal_quantile(cfg.alpha / 2.0)
 
-    rejections = []
+    stats = []
     for kernel in cfg.kernels:
         stat = None
         for bw in cfg.bandwidths:
             if stat is None or kernel.kind != "identity":
                 parts = dcov_parts(sample, (kernel, kernel), (bw, bw), tau_pop, dists)
                 stat = parts.studentized()
-            rejections.append(abs(stat) > threshold)
-    return rejections
+            stats.append(stat)
+    return stats
 
 
 def run_power(cfg: PowerConfig) -> PowerResult:
     """Empirical rejection rate per (kernel, bandwidth, rho) cell alongside
     the closed-form power prediction."""
-    n_cells = len(cfg.kernels) * len(cfg.bandwidths)
-    rates = np.zeros((len(cfg.rho_grid), n_cells))
-    for r_idx in range(len(cfg.rho_grid)):
-
-        def worker(rep: int, _r=r_idx):
-            try:
-                return _power_replication(cfg, _r, rep)
-            except Exception as exc:
-                raise ReplicationError(rep, exc) from exc
-
-        flags = _ordered_map(worker, cfg.reps, cfg.threads)
-        rates[r_idx] = np.mean(np.asarray(flags, dtype=float), axis=0)
+    threshold = normal_quantile(cfg.alpha / 2.0)
+    rates, powers = [], []
+    for r_idx, scenario in enumerate(cfg.scenarios):
+        stats = _ordered_map(partial(_power_replication, cfg, r_idx), cfg.reps, cfg.threads)
+        rates.append(np.mean(np.abs(stats) > threshold, axis=0))
+        powers.append(theoretical_power(scenario.implied_blocks(), cfg.n, cfg.alpha))
 
     cells = []
-    for c_idx, kernel in enumerate(cfg.kernels):
-        for b_idx, bw in enumerate(cfg.bandwidths):
-            col = c_idx * len(cfg.bandwidths) + b_idx
-            for r_idx, rho in enumerate(cfg.rho_grid):
-                blocks = CovarianceBlocks.identity_blocks(cfg.p, cfg.p, rho)
-                rate = float(rates[r_idx, col])
-                cells.append(
-                    PowerCell(
-                        kernel=kernel.kind,
-                        bandwidth=bw.label(),
-                        rho=rho,
-                        empirical_power=rate,
-                        theoretical_power=theoretical_power(blocks, cfg.n, cfg.alpha),
-                        std_err=math.sqrt(rate * (1.0 - rate) / cfg.reps),
-                    )
+    for col, (kernel, bw) in enumerate(itertools.product(cfg.kernels, cfg.bandwidths)):
+        for r_idx, rho in enumerate(cfg.rho_grid):
+            rate = float(rates[r_idx][col])
+            cells.append(
+                PowerCell(
+                    kernel=kernel.kind,
+                    bandwidth=bw.label(),
+                    rho=rho,
+                    empirical_power=rate,
+                    theoretical_power=powers[r_idx],
+                    std_err=math.sqrt(rate * (1.0 - rate) / cfg.reps),
                 )
+            )
     return PowerResult(cells=cells)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 from .dcovstats import BandwidthSpec, KernelSpec, PairedSample, dcov_parts, identity_kernel
@@ -15,74 +16,11 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Rational inverse-CDF approximation coefficients (Acklam), refined below by
-# one Newton step against normal_cdf.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _inv_cdf_seed(prob: float) -> float:
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if prob < p_low:
-        w = math.sqrt(-2.0 * math.log(prob))
-        return (
-            ((((_C[0] * w + _C[1]) * w + _C[2]) * w + _C[3]) * w + _C[4]) * w + _C[5]
-        ) / ((((_D[0] * w + _D[1]) * w + _D[2]) * w + _D[3]) * w + 1.0)
-    if prob <= p_high:
-        w = prob - 0.5
-        r = w * w
-        return (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * w
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    w = math.sqrt(-2.0 * math.log(1.0 - prob))
-    return -(
-        ((((_C[0] * w + _C[1]) * w + _C[2]) * w + _C[3]) * w + _C[4]) * w + _C[5]
-    ) / ((((_D[0] * w + _D[1]) * w + _D[2]) * w + _D[3]) * w + 1.0)
-
-
 def normal_quantile(alpha: float) -> float:
     """Upper quantile: the z with P(N(0,1) > z) = alpha, for alpha in (0,1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    prob = 1.0 - alpha
-    z = _inv_cdf_seed(prob)
-    pdf = normal_pdf(z)
-    if pdf > 0.0:
-        z -= (normal_cdf(z) - prob) / pdf
-    return z
+    return 0.0 - NormalDist().inv_cdf(alpha)  # +0.0, not -0.0, at the median
 
 
 @dataclass(frozen=True)

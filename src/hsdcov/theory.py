@@ -283,7 +283,7 @@ def minimax_eigencheck(
         (1+l1)(1+l2) = (1+l3)(1+l4)
                      = 1 + a^2/(1-(apq)^2) (p^2 q^2 - <u1,u2><v1,v2>).
 
-    Requires |a| p q < 1.
+    Requires nonempty sign vectors and |a| p q < 1.
     """
     s1 = _sign_vector(u_signs[0], "u_signs[0]")
     s2 = _sign_vector(u_signs[1], "u_signs[1]")
@@ -292,6 +292,8 @@ def minimax_eigencheck(
     if s1.size != s2.size or t1.size != t2.size:
         raise ValueError("sign vectors in a pair must share a length")
     p, q = s1.size, t1.size
+    if p == 0 or q == 0:
+        raise ValueError("sign vectors must be nonempty")
     if abs(a) * p * q >= 1.0:
         raise ValueError(f"|a| p q = {abs(a) * p * q} must be < 1")
 

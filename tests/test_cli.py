@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hsdcov import cli
 from hsdcov.cli import main
 
 
@@ -107,6 +108,51 @@ class TestCmdTest:
             ["test", "--x", str(x_path), "--y", str(y_path), "--output", str(out)]
         ) == 0
         assert json.loads(out.read_text())["reject"] is True
+
+
+class TestCsvInput:
+    """Accepted CSV layouts parse to float64 arrays, and every malformed file
+    exits 2 naming its path."""
+
+    @pytest.mark.parametrize(
+        "text, header, want",
+        [
+            ("1,2\n\n3,4\n\n", False, [[1, 2], [3, 4]]),
+            ("1,2\r\n3,4\r\n", False, [[1, 2], [3, 4]]),
+            ('"1.5",2\n3," 4"\n', False, [[1.5, 2], [3, 4]]),
+            ("1,2,3\n", False, [[1, 2, 3]]),
+            ("1\n2\n3\n", False, [[1], [2], [3]]),
+            ("a,b\n1,2\n3,4\n", True, [[1, 2], [3, 4]]),
+        ],
+        ids=["blank-lines", "crlf", "quoted", "single-row", "single-column", "header"],
+    )
+    def test_parses(self, text, header, want, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        got = cli._read_csv_matrix(str(path), header)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(want, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "text, header",
+        [
+            ("1,2\n3\n", False),
+            ("1,x\n", False),
+            ("1,#\n", False),
+            ("1,2,\n", False),
+            ("", False),
+            ("a,b\n", True),
+        ],
+        ids=["ragged", "non-numeric", "hash", "trailing-comma", "empty", "header-only"],
+    )
+    def test_malformed_exit_2(self, text, header, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        argv = ["test", "--x", str(path), "--y", str(path)]
+        assert main(argv + ["--header"] * header) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hsdcov: error: ")
+        assert str(path) in err
 
 
 class TestCmdClt:
@@ -354,9 +400,18 @@ class TestExitCodes:
             (["theory", "--p", "-1", "--rho-xy", "0.1"], 2),
             (["power", "--kernels", ",", "--out", "{d}/o.csv"], 2),
             (["theory", "--p", "3", "--rho-xy", "0.1", "--output", "{d}/no/r.json"], 2),
+            (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--alpha", "2"], 2),
+            (["theory", "--p", "3", "--rho-xy", "0.1", "--alpha", "2"], 2),
+            (["power", "--alpha", "2", "--out", "{d}/o.csv"], 2),
+            (["eigencheck", "--p", "0"], 2),
+            (["eigencheck", "--p", "-1"], 2),
+            (["power", "--p", "0", "--out", "{d}/o.csv"], 2),
+            (["power", "--n", "0", "--out", "{d}/o.csv"], 2),
+            (["power", "--rho-grid", "1.0", "--out", "{d}/o.csv"], 2),
         ],
     )
     def test_exit_code(self, argv, code, tmp_path, capsys):
+        write_csv(tmp_path / "x.csv", [[1.0], [2.0], [4.0], [3.0], [5.0]])
         assert main([a.format(d=tmp_path) for a in argv]) == code
         assert capsys.readouterr().err.startswith("hsdcov: error: ")
         assert not (tmp_path / "o.csv").exists()

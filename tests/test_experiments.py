@@ -247,3 +247,17 @@ class TestRunPower:
     def test_empty_kernels_or_bandwidths_rejected(self, empty):
         with pytest.raises(ValueError, match="nonempty"):
             PowerConfig(n=20, p=2, rho_grid=(0.0,), **{empty: ()})
+
+    @pytest.mark.parametrize(
+        "sizes", [{"n": 0}, {"p": 0}, {"rho_grid": (0.2, 1.0)}, {"rho_grid": (-0.1,)}]
+    )
+    def test_bad_sizes_rejected_up_front(self, sizes):
+        with pytest.raises(ValueError):
+            PowerConfig(**{"n": 20, "p": 2, "rho_grid": (0.0,), **sizes})
+
+    def test_one_scenario_per_rho(self):
+        cfg = PowerConfig(n=20, p=3, rho_grid=(0.0, 0.5), dist=NoiseDist.SCALED_T4)
+        assert [(s.n, s.p, s.rho, s.dist) for s in cfg.scenarios] == [
+            (20, 3, 0.0, NoiseDist.SCALED_T4),
+            (20, 3, 0.5, NoiseDist.SCALED_T4),
+        ]

@@ -41,10 +41,19 @@ class TestNormalCdf:
 
 class TestNormalQuantile:
     def test_median(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+        # +0.0 exactly: the clt CSV prints this value, so -0.0 would show
+        assert math.copysign(1.0, normal_quantile(0.5)) == 1.0
+        assert normal_quantile(0.5) == 0.0
 
-    def test_two_sided_point(self):
-        assert normal_quantile(0.025) == pytest.approx(1.959963984540054, abs=1e-9)
+    # exact quantiles rounded to double; at 1e-12, forming 1 - alpha first
+    # loses about 4e-7 relative
+    @pytest.mark.parametrize(
+        "alpha, want",
+        [(0.025, 1.959963984540054), (1e-12, 7.034483825301132)],
+        ids=["0.025", "1e-12"],
+    )
+    def test_two_sided_point(self, alpha, want):
+        assert normal_quantile(alpha) == pytest.approx(want, rel=1e-15)
 
     def test_symmetry(self):
         for alpha in (0.01, 0.1, 0.3):

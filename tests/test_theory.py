@@ -333,6 +333,12 @@ class TestMinimaxEigencheck:
                 (np.array([1.0, 0.5]), np.ones(2)), (np.ones(2), np.ones(2)), 0.01
             )
 
+    @pytest.mark.parametrize("p, q", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_signs(self, p, q):
+        # an empty side has no spectrum to check, so nothing may pass vacuously
+        with pytest.raises(ValueError, match="nonempty"):
+            minimax_eigencheck((np.ones(p), np.ones(p)), (np.ones(q), np.ones(q)), 0.01)
+
 
 class TestTheoryReport:
     def test_fields_consistent(self):
