@@ -41,7 +41,6 @@ from .matcore import (
     frobenius_norm_sq,
     pairwise_sq_distances,
     sym_eigenvalues,
-    trace_chain,
 )
 from .simgen import (
     NoiseDist,

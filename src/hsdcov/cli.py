@@ -111,6 +111,13 @@ def _alpha(value) -> float:
     return alpha
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean; text such as ``"false"`` is rejected, not read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 class Flag(NamedTuple):
     """One option of a subcommand: ``--name`` on the command line (``_``
     spelled ``-``) and ``name`` in a config file. ``type`` converts flag and
@@ -327,14 +334,10 @@ def _read_sign_file(path: str, expected: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_eigencheck(v: dict, config: dict) -> int:
-    p, q, a = v["p"], v["q"], v["a"]
+    p, q = v["p"], v["q"]
     if p < 1 or q < 1:
         raise CliError(f"p and q must be positive, got p={p}, q={q}", EXIT_BAD_INPUT)
-    if abs(a) * p * q >= 1.0:
-        raise CliError(
-            f"|a| p q = {abs(a) * p * q} must be < 1 for a valid construction",
-            EXIT_SEMANTIC,
-        )
+    a = v["a"] if v["a"] is not None else 1.0 / (4 * p * q)
     if v["u_signs"] or v["v_signs"]:
         if not (v["u_signs"] and v["v_signs"]):
             raise CliError(
@@ -349,7 +352,7 @@ def _cmd_eigencheck(v: dict, config: dict) -> int:
             for d in (p, q)
         ]
     report = minimax_eigencheck(u_pair, v_pair, a)
-    _dump_json({**dataclasses.asdict(report), "config": config}, v["output"])
+    _dump_json({**dataclasses.asdict(report), "config": {**config, "a": a}}, v["output"])
     return EXIT_OK
 
 
@@ -374,7 +377,7 @@ _COMMANDS = {
         _ALPHA,
         _KERNEL,
         _BANDWIDTH,
-        Flag("header", bool, False),
+        Flag("header", _boolean, False),
         _OUTPUT,
     )),
     "clt": Command(_cmd_clt, "standardized-statistic QQ data and KS distance", (
@@ -419,7 +422,7 @@ _COMMANDS = {
     "eigencheck": Command(_cmd_eigencheck, "minimax perturbation identity check", (
         Flag("p", int, 6),
         Flag("q", int, 6),
-        Flag("a", float, 1.0 / (4 * 6 * 6)),
+        Flag("a", float, help="perturbation scale (default 1/(4pq))"),
         _SEED,
         Flag("u_signs"),
         Flag("v_signs"),
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=command.help)
         for flag in command.flags:
             option = "--" + flag.name.replace("_", "-")
-            if flag.type is bool:
+            if flag.type is _boolean:
                 cmd.add_argument(
                     option, dest=flag.name, action="store_const", const=True
                 )

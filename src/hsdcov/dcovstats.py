@@ -118,11 +118,11 @@ class BandwidthSpec:
 
     def __post_init__(self):
         if self.policy == "fixed":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError("fixed bandwidth requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError("fixed bandwidth requires a finite gamma > 0")
         elif self.policy == "rho":
-            if self.rho_target is None or not self.rho_target > 0:
-                raise ValueError("rho bandwidth requires rho_target > 0")
+            if self.rho_target is None or not 0 < self.rho_target < math.inf:
+                raise ValueError("rho bandwidth requires a finite rho_target > 0")
         elif self.policy != "median":
             raise ValueError(f"unknown bandwidth policy {self.policy!r}")
 

@@ -131,17 +131,18 @@ class CltResult:
     raw: list[float] = field(default_factory=list)
 
 
-def _clt_replication(cfg: CltConfig, blocks: CovarianceBlocks, index: int):
+def _tau_pair(blocks: CovarianceBlocks) -> tuple[float, float]:
+    return math.sqrt(tau_sq(blocks.sigma_x)), math.sqrt(tau_sq(blocks.sigma_y))
+
+
+def _clt_replication(
+    cfg: CltConfig, blocks: CovarianceBlocks, tau_pop: tuple[float, float], index: int
+):
     stream = derive_stream(cfg.seed, index)
     if cfg.scenario is not None:
         sample = sample_factor(cfg.scenario, stream)
-        tau_pop = (cfg.scenario.population_tau(), cfg.scenario.population_tau())
     else:
         sample = sample_gaussian(blocks, cfg.n, stream)
-        tau_pop = (
-            math.sqrt(tau_sq(blocks.sigma_x)),
-            math.sqrt(tau_sq(blocks.sigma_y)),
-        )
     parts = dcov_parts(sample, cfg.kernels, cfg.bandwidths, tau_pop)
     return (parts.v_xy, *parts.gamma)
 
@@ -150,7 +151,8 @@ def run_clt(cfg: CltConfig) -> CltResult:
     """Run the configured replications and standardize the statistics."""
     blocks = cfg.effective_blocks()
     n = cfg.effective_n()
-    results = _ordered_map(partial(_clt_replication, cfg, blocks), cfg.reps, cfg.threads)
+    replicate = partial(_clt_replication, cfg, blocks, _tau_pair(blocks))
+    results = _ordered_map(replicate, cfg.reps, cfg.threads)
     values = np.array([r[0] for r in results])
 
     if cfg.standardize == "empirical":
@@ -236,7 +238,9 @@ class PowerResult:
     cells: list[PowerCell]
 
 
-def _power_replication(cfg: PowerConfig, rho_index: int, rep: int) -> list[float]:
+def _power_replication(
+    cfg: PowerConfig, rho_index: int, tau_pop: tuple[float, float], rep: int
+) -> list[float]:
     """Studentized statistics of one dataset in every (kernel, bandwidth)
     cell, sharing the distance matrices so universality comparisons are
     paired. The identity kernel's statistic does not depend on the bandwidth
@@ -245,7 +249,6 @@ def _power_replication(cfg: PowerConfig, rho_index: int, rep: int) -> list[float
     stream = derive_stream(cfg.seed, rho_index * cfg.reps + rep)
     sample = sample_factor(scenario, stream)
     dists = (distance_matrix(sample.x), distance_matrix(sample.y))
-    tau_pop = (scenario.population_tau(), scenario.population_tau())
 
     stats = []
     for kernel in cfg.kernels:
@@ -264,9 +267,11 @@ def run_power(cfg: PowerConfig) -> PowerResult:
     threshold = normal_quantile(cfg.alpha / 2.0)
     rates, powers = [], []
     for r_idx, scenario in enumerate(cfg.scenarios):
-        stats = _ordered_map(partial(_power_replication, cfg, r_idx), cfg.reps, cfg.threads)
+        blocks = scenario.implied_blocks()
+        replicate = partial(_power_replication, cfg, r_idx, _tau_pair(blocks))
+        stats = _ordered_map(replicate, cfg.reps, cfg.threads)
         rates.append(np.mean(np.abs(stats) > threshold, axis=0))
-        powers.append(theoretical_power(scenario.implied_blocks(), cfg.n, cfg.alpha))
+        powers.append(theoretical_power(blocks, cfg.n, cfg.alpha))
 
     cells = []
     for col, (kernel, bw) in enumerate(itertools.product(cfg.kernels, cfg.bandwidths)):

@@ -1,5 +1,5 @@
-"""Dense real matrix kernels: norms, trace products, Cholesky, symmetric
-eigenvalues, pairwise squared distances.
+"""Dense real matrix kernels: norms, Cholesky, symmetric eigenvalues,
+pairwise squared distances.
 
 Everything operates on plain ``numpy.ndarray`` objects (row-major semantics)
 and is a pure function of its inputs, so concurrent use is safe. Tolerances
@@ -51,32 +51,6 @@ def frobenius_norm_sq(m) -> float:
     """Sum of squared entries."""
     a = as_matrix(m)
     return float(np.sum(a * a))
-
-
-def trace_chain(ms) -> float:
-    """Trace of the ordered product of the given matrices.
-
-    The chain is folded left to right and the final factor is absorbed into
-    the trace as ``tr(P M) = sum(P * M^T)``, so the last product is never
-    materialized. Raises ``ValueError`` on non-conformable dimensions or a
-    non-square overall product.
-    """
-    mats = [as_matrix(m, f"chain[{i}]") for i, m in enumerate(ms)]
-    if not mats:
-        raise ValueError("trace_chain requires at least one matrix")
-    for left, right in zip(mats, mats[1:]):
-        if left.shape[1] != right.shape[0]:
-            raise ValueError(
-                f"dimension mismatch in chain: {left.shape} @ {right.shape}"
-            )
-    if mats[0].shape[0] != mats[-1].shape[1]:
-        raise ValueError("chain product is not square; trace undefined")
-    if len(mats) == 1:
-        return float(np.trace(mats[0]))
-    prod = mats[0]
-    for m in mats[1:-1]:
-        prod = prod @ m
-    return float(np.sum(prod * mats[-1].T))
 
 
 def cholesky(s) -> Matrix:

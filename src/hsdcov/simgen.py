@@ -54,9 +54,6 @@ class SimScenario:
     def implied_blocks(self) -> CovarianceBlocks:
         return CovarianceBlocks.identity_blocks(self.p, self.p, self.rho)
 
-    def population_tau(self) -> float:
-        return math.sqrt(2.0 * self.p)
-
 
 @dataclass(frozen=True)
 class RngStream:

@@ -21,7 +21,6 @@ from .matcore import (
     cholesky,
     frobenius_norm_sq,
     sym_eigenvalues,
-    trace_chain,
 )
 from .dcovstats import KernelSpec
 
@@ -133,17 +132,9 @@ def mean_expansion(blocks: CovarianceBlocks) -> float:
     return frobenius_norm_sq(blocks.sigma_xy) / math.sqrt(tx_sq * ty_sq)
 
 
-def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
-    """First- and second-order variance contributions of the sample distance
-    covariance, and their sum.
-
-    sigma1 can turn negative for covariances outside the bounded-spectrum
-    regime; the value is reported faithfully with a warning rather than
-    clamped, since clamping would corrupt standardization checks.
-    """
+def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int) -> VarianceParts:
     if n < 2:
         raise ValueError(f"variance formula needs n >= 2, got {n}")
-    sx, sxy, sy = blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y
     syx = sxy.T
     tx_sq = tau_sq(sx)
     ty_sq = tau_sq(sy)
@@ -152,13 +143,14 @@ def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
     f2 = frobenius_norm_sq(sxy)
     f_x = frobenius_norm_sq(sx)
     f_y = frobenius_norm_sq(sy)
+    # traces of products as tr(P M) = sum(P * M^T)
     sigma1 = (4.0 / (n * tx_sq * ty_sq)) * (
         frobenius_norm_sq(sxy @ syx)
-        + trace_chain([sxy, sy, syx, sx])
+        + float(np.sum(sxy @ sy @ syx * sx.T))
         + f2 * f2 * f_x / (2.0 * tx_sq * tx_sq)
         + f2 * f2 * f_y / (2.0 * ty_sq * ty_sq)
-        - (2.0 * f2 / tx_sq) * trace_chain([sxy, syx, sx])
-        - (2.0 * f2 / ty_sq) * trace_chain([syx, sxy, sy])
+        - (2.0 * f2 / tx_sq) * float(np.sum(sxy @ syx * sx.T))
+        - (2.0 * f2 / ty_sq) * float(np.sum(syx @ sxy * sy.T))
         + f2 * f2 * f2 / (tx_sq * ty_sq)
     )
     sigma2 = (2.0 / (n * (n - 1) * tx_sq * ty_sq)) * (f_x * f_y + f2 * f2)
@@ -167,33 +159,28 @@ def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
             "first-order variance term is negative; covariance lies outside "
             "the bounded-spectrum regime",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return VarianceParts(sigma1, sigma2, sigma1 + sigma2)
+
+
+def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
+    """First- and second-order variance contributions of the sample distance
+    covariance, and their sum.
+
+    sigma1 can turn negative for covariances outside the bounded-spectrum
+    regime; the value is reported faithfully with a warning rather than
+    clamped, since clamping would corrupt standardization checks.
+    """
+    return _variance_parts(blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y, n)
 
 
 def sigma_bar_sq_marginal(sigma_x, n: int) -> VarianceParts:
-    """Marginal analogue of ``sigma_bar_sq`` for one block."""
-    if n < 2:
-        raise ValueError(f"variance formula needs n >= 2, got {n}")
+    """Marginal analogue of ``sigma_bar_sq`` for one block: its value at
+    S_x = S_y = S_xy = sigma_x. The blocks are not assembled, since
+    [[S, S], [S, S]] is singular."""
     sx = check_symmetric(sigma_x, "sigma_x")
-    tr = float(np.trace(sx))
-    if tr <= 0:
-        raise DegenerateBlocks("marginal variance requires a positive trace")
-    f_x = frobenius_norm_sq(sx)
-    sigma1 = (1.0 / (n * tr * tr)) * (
-        2.0 * frobenius_norm_sq(sx @ sx)
-        + f_x ** 3 / (2.0 * tr * tr)
-        - 2.0 * f_x * trace_chain([sx, sx, sx]) / tr
-    )
-    sigma2 = f_x * f_x / (n * (n - 1) * tr * tr)
-    if sigma1 < 0:
-        warnings.warn(
-            "first-order marginal variance term is negative",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return VarianceParts(sigma1, sigma2, sigma1 + sigma2)
+    return _variance_parts(sx, sx, sx, n)
 
 
 def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
@@ -241,6 +228,10 @@ def theoretical_power(blocks: CovarianceBlocks, n: int, alpha: float) -> float:
     return normal_cdf(m - z) + normal_cdf(-m - z)
 
 
+# eigenvalues of the perturbation above this magnitude count as nontrivial
+NONTRIVIAL_TOL = 1e-8
+
+
 @dataclass
 class EigencheckReport:
     max_identity_error: float
@@ -255,23 +246,10 @@ def _sign_vector(v, length_name: str) -> np.ndarray:
     return arr
 
 
-def _quad_roots(a2: float, a1: float, a0: float) -> tuple[float, float]:
-    """Roots of a2 x^2 + a1 x + a0, degenerating gracefully to the linear
-    case; a vanishing equation contributes no finite root (returned as nan)."""
-    if abs(a2) > 1e-30:
-        disc = max(a1 * a1 - 4.0 * a2 * a0, 0.0)
-        r = math.sqrt(disc)
-        return ((-a1 - r) / (2.0 * a2), (-a1 + r) / (2.0 * a2))
-    if abs(a1) > 1e-30:
-        return (-a0 / a1, math.nan)
-    return (math.nan, math.nan)
-
-
 def minimax_eigencheck(
     u_signs: tuple[Sequence[float], Sequence[float]],
     v_signs: tuple[Sequence[float], Sequence[float]],
     a: float,
-    nontrivial_tol: float = 1e-8,
 ) -> EigencheckReport:
     """Numerically verify the rank-four perturbation identity behind the
     minimax prior construction.
@@ -297,13 +275,8 @@ def minimax_eigencheck(
     if abs(a) * p * q >= 1.0:
         raise ValueError(f"|a| p q = {abs(a) * p * q} must be < 1")
 
-    ut1, ut2 = math.sqrt(q) * s1, math.sqrt(q) * s2
-    vt1, vt2 = math.sqrt(p) * t1, math.sqrt(p) * t2
-    dim = p + q
-    u1 = np.concatenate([ut1, np.zeros(q)])
-    u2 = np.concatenate([ut2, np.zeros(q)])
-    v1 = np.concatenate([np.zeros(p), vt1])
-    v2 = np.concatenate([np.zeros(p), vt2])
+    u1, u2 = (np.concatenate([math.sqrt(q) * s, np.zeros(q)]) for s in (s1, s2))
+    v1, v2 = (np.concatenate([np.zeros(p), math.sqrt(p) * t]) for t in (t1, t2))
 
     apq = a * p * q
     c1 = a / (2.0 * (1.0 + apq))
@@ -314,32 +287,26 @@ def minimax_eigencheck(
     )
 
     spectrum = sym_eigenvalues(pert)
-    nontrivial = spectrum[np.abs(spectrum) > nontrivial_tol]
+    nontrivial = spectrum[np.abs(spectrum) > NONTRIVIAL_TOL]
 
     uu = float(u1 @ u2)
     vv = float(v1 @ v2)
     rhs = 1.0 + a * a / (1.0 - apq * apq) * (p * p * q * q - uu * vv)
 
-    # closed-form eigenvalues, used to group the numerical ones into the
-    # two product pairs
-    b1, b2 = _quad_roots(
-        (c1 + c2) * (vv + p * q), (c2 - c1) * (vv - uu), -(c1 + c2) * (uu + p * q)
-    )
-    b3, b4 = _quad_roots(
-        (c1 + c2) * (vv - p * q), (c2 - c1) * (vv - uu), -(c1 + c2) * (uu - p * q)
-    )
-    lam12 = [
-        (c2 - c1) * (p * q + uu) - b * (c1 + c2) * (vv + p * q)
-        if not math.isnan(b)
-        else 0.0
-        for b in (b1, b2)
-    ]
-    lam34 = [
-        (c2 - c1) * (p * q - uu) + b * (c1 + c2) * (vv - p * q)
-        if not math.isnan(b)
-        else 0.0
-        for b in (b3, b4)
-    ]
+    # with w = u1 + s u2 and z = v1 + s v2 (mutually orthogonal, as
+    # |u1| = |u2| and |v1| = |v2|), pert is the sum over s = +1, -1 of a
+    # rank-2 piece on span{w, z}; in the orthonormal basis (w/|w|, z/|z|)
+    # each piece is the 2x2 matrix below, and its eigenvalues group the
+    # numerical ones into the pairs (l1, l2) and (l3, l4)
+    pieces = []
+    for s in (1.0, -1.0):
+        w_sq = 2.0 * (p * q + s * uu)
+        z_sq = 2.0 * (p * q + s * vv)
+        # when a plane collapses (s2 = -s1 or t2 = -t1), round-off can leave
+        # w_sq * z_sq a little below zero
+        off = -(c1 + c2) * math.sqrt(max(w_sq * z_sq, 0.0))
+        pieces.append([[(c2 - c1) * w_sq, off], [off, (c2 - c1) * z_sq]])
+    lam12, lam34 = np.linalg.eigvalsh(0.5 * np.array(pieces))
 
     # match each closed-form value to the closest remaining numerical one
     pool = list(nontrivial)
@@ -347,7 +314,7 @@ def minimax_eigencheck(
     for lam, bucket in [(l, matched12) for l in lam12] + [
         (l, matched34) for l in lam34
     ]:
-        if pool and abs(lam) > nontrivial_tol:
+        if pool and abs(lam) > NONTRIVIAL_TOL:
             k = int(np.argmin([abs(x - lam) for x in pool]))
             bucket.append(pool.pop(k))
         else:

@@ -358,6 +358,13 @@ class TestCmdEigencheck:
     def test_invalid_scale_exit_3(self):
         assert main(["eigencheck", "--p", "6", "--q", "6", "--a", "0.5"]) == 3
 
+    @pytest.mark.parametrize("p, q", [(6, 6), (12, 12), (3, 10)])
+    def test_default_scale_follows_p_and_q(self, p, q, capsys):
+        assert main(["eigencheck", "--p", str(p), "--q", str(q)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["a"] == 1.0 / (4 * p * q)
+        assert report["max_identity_error"] <= 1e-8
+
 
 class TestConfigMerging:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
@@ -408,6 +415,10 @@ class TestExitCodes:
             (["power", "--p", "0", "--out", "{d}/o.csv"], 2),
             (["power", "--n", "0", "--out", "{d}/o.csv"], 2),
             (["power", "--rho-grid", "1.0", "--out", "{d}/o.csv"], 2),
+            (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--bandwidth", "fixed:inf"], 2),
+            (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--bandwidth", "rho:inf"], 2),
+            (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--bandwidth", "fixed:nan"], 2),
+            (["clt", "--bandwidth", "rho:inf", "--reps", "2"], 2),
         ],
     )
     def test_exit_code(self, argv, code, tmp_path, capsys):
@@ -423,6 +434,21 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["--config", str(cfg), "clt", "--reps", "2"]) == 2
+
+    # "false" is truthy text: read as a switch it would drop the first data row
+    @pytest.mark.parametrize("header", ["false", "true", 0, 1, None])
+    def test_test_header_must_be_json_boolean(self, header, tmp_path, capsys):
+        write_csv(tmp_path / "x.csv", [[1.0], [2.0], [4.0], [3.0], [5.0]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x": str(tmp_path / "x.csv"), "y": str(tmp_path / "x.csv"),
+                                   "header": header}))
+        code = main(["--config", str(cfg), "test"])
+        if header is None:  # an absent value takes the default
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["config"]["header"] is False
+        else:
+            assert code == 2
+            assert "bad header" in capsys.readouterr().err
 
 
 # case: (command, flags of the first run, output flags, file embedding the config)

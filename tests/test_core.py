@@ -31,6 +31,7 @@ from hsdcov.dcovstats import (
 from hsdcov.experiments import CltConfig, PowerConfig, ReplicationError, run_clt, run_power
 from hsdcov.simgen import SimScenario, derive_stream, sample_factor
 from hsdcov.testkit import dcor_test
+from hsdcov.theory import tau_sq
 
 KERNELS = ("identity", "gaussian", "laplace")
 POLICIES = (BandwidthSpec.fixed(1.3), BandwidthSpec.median(), BandwidthSpec.rho(1.0))
@@ -164,7 +165,7 @@ def test_power_rates_match_dcor_test():
         n=40, p=6, rho_grid=(0.2,), kernels=kernels, bandwidths=bandwidths, reps=8, seed=5
     )
     scenario = SimScenario(n=40, p=6, rho=0.2)
-    tau = (scenario.population_tau(),) * 2
+    tau = (math.sqrt(tau_sq(scenario.implied_blocks().sigma_x)),) * 2
     flags = []
     for rep in range(cfg.reps):
         sample = sample_factor(scenario, derive_stream(cfg.seed, rep))

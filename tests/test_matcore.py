@@ -12,7 +12,6 @@ from hsdcov.matcore import (
     frobenius_norm_sq,
     pairwise_sq_distances,
     sym_eigenvalues,
-    trace_chain,
 )
 
 
@@ -30,38 +29,6 @@ class TestFrobeniusNormSq:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             frobenius_norm_sq([[1.0, np.nan]])
-
-
-class TestTraceChain:
-    def test_single_identity(self):
-        assert trace_chain([np.eye(5)]) == 5.0
-
-    def test_inverse_pair(self):
-        d = np.diag([2.0, 4.0, 8.0])
-        inv = np.diag(1.0 / np.diag(d))
-        assert trace_chain([d, inv]) == pytest.approx(3.0, rel=1e-14)
-
-    def test_diagonal_arithmetic(self):
-        p, rho = 6, 0.3
-        chain = [rho * np.eye(p), np.eye(p), rho * np.eye(p), np.eye(p)]
-        assert trace_chain(chain) == pytest.approx(rho**2 * p, rel=1e-14)
-
-    def test_matches_materialized_product(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 5))
-        b = rng.normal(size=(5, 4))
-        c = rng.normal(size=(4, 3))
-        assert trace_chain([a, b, c]) == pytest.approx(
-            float(np.trace(a @ b @ c)), rel=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_chain([np.eye(3), np.eye(4)])
-
-    def test_non_square_product(self):
-        with pytest.raises(ValueError):
-            trace_chain([np.ones((2, 3))])
 
 
 class TestCholesky:

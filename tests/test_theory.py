@@ -133,7 +133,35 @@ class TestSigmaBarSq:
         assert parts.total == parts.sigma1_sq + parts.sigma2_sq
 
 
+def marginal_expansion_oracle(sx, n):
+    """The marginal variance expanded by hand for S_x = S_y = S_xy = S."""
+    tr = np.trace(sx)
+    f_x = np.sum(sx**2)
+    sigma1 = (1.0 / (n * tr * tr)) * (
+        2.0 * np.sum((sx @ sx) ** 2)
+        + f_x**3 / (2.0 * tr * tr)
+        - 2.0 * f_x * np.trace(sx @ sx @ sx) / tr
+    )
+    sigma2 = f_x * f_x / (n * (n - 1) * tr * tr)
+    return sigma1, sigma2
+
+
 class TestSigmaBarSqMarginal:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_hand_expansion(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 30))
+        n = int(rng.integers(2, 400))
+        m = rng.normal(size=(p, p))
+        spd = m @ m.T + 0.1 * np.eye(p)
+        anisotropic = np.diag(np.exp(rng.normal(scale=2.0, size=p)))
+        for sx in (spd, anisotropic):
+            got = sigma_bar_sq_marginal(sx, n)
+            sigma1, sigma2 = marginal_expansion_oracle(sx, n)
+            assert got.sigma1_sq == pytest.approx(sigma1, rel=1e-12)
+            assert got.sigma2_sq == pytest.approx(sigma2, rel=1e-12)
+            assert got.total == got.sigma1_sq + got.sigma2_sq
+
     def test_identity_closed_form(self):
         p, n = 9, 40
         parts = sigma_bar_sq_marginal(np.eye(p), n)
@@ -295,9 +323,11 @@ class TestMinimaxEigencheck:
         s = np.array([1.0, -1.0, 1.0, 1.0])
         t = np.array([-1.0, 1.0, 1.0])
         a = 1.0 / (4 * 4 * 3)
-        report = minimax_eigencheck((s, s.copy()), (t, t.copy()), a)
-        assert report.max_identity_error <= 1e-10
-        assert report.nontrivial_eigencount <= 4
+        # s2 = -s1 or t2 = -t1 collapses one of the two invariant planes
+        for u_sign, v_sign in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
+            report = minimax_eigencheck((s, u_sign * s), (t, v_sign * t), a)
+            assert report.max_identity_error <= 1e-10
+            assert report.nontrivial_eigencount <= 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_signs(self, seed):
