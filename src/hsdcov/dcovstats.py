@@ -324,7 +324,8 @@ def dcov_star(sample: PairedSample) -> float:
 
 def dcov_star_marginal(x) -> float:
     """dcov_star of a block with itself; a sum of squares, hence >= 0."""
-    return dcov_star_kernel_marginal(x, identity_kernel(), 1.0)
+    block = _kernel_block(x, identity_kernel(), BandwidthSpec.fixed(1.0))
+    return _u_inner(block, block)
 
 
 def dcov_star_kernel(
@@ -335,11 +336,6 @@ def dcov_star_kernel(
     """Generalized sample distance covariance with per-block kernels and
     bandwidths, built on zero-diagonal kernel matrices."""
     return dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma))).v_xy
-
-
-def dcov_star_kernel_marginal(x, kernel: KernelSpec, gamma: float) -> float:
-    block = _kernel_block(x, kernel, BandwidthSpec.fixed(gamma))
-    return _u_inner(block, block)
 
 
 def dcor_star(

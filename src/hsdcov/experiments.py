@@ -107,8 +107,8 @@ class CltConfig:
             raise ValueError("need at least 2 replications")
         if (self.scenario is None) == (self.blocks is None):
             raise ValueError("provide exactly one of scenario or blocks")
-        if self.blocks is not None and self.n is None:
-            raise ValueError("blocks require an explicit sample size n")
+        if (self.blocks is None) != (self.n is None):
+            raise ValueError("give n with blocks, not with a scenario (it carries its own n)")
         if self.standardize not in ("theory", "null", "empirical"):
             raise ValueError(f"unknown standardization {self.standardize!r}")
         if self.center not in ("theory", "empirical"):
@@ -151,7 +151,8 @@ def run_clt(cfg: CltConfig) -> CltResult:
     """Run the configured replications and standardize the statistics."""
     blocks = cfg.effective_blocks()
     n = cfg.effective_n()
-    replicate = partial(_clt_replication, cfg, blocks, _tau_pair(blocks))
+    tau_pop = _tau_pair(blocks)
+    replicate = partial(_clt_replication, cfg, blocks, tau_pop)
     results = _ordered_map(replicate, cfg.reps, cfg.threads)
     values = np.array([r[0] for r in results])
 
@@ -159,9 +160,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
         sd = float(values.std(ddof=1))
         standardized = (values - values.mean()) / sd if sd > 0 else np.zeros_like(values)
     else:
-        scalings = np.array(
-            [varrho(cfg.kernels, (gx, gy), blocks) for _, gx, gy in results]
-        )
+        scalings = np.array([varrho(cfg.kernels, (gx, gy), tau_pop) for _, gx, gy in results])
         rescaled = values / scalings
         if cfg.standardize == "null":
             tau_prod = math.sqrt(tau_sq(blocks.sigma_x) * tau_sq(blocks.sigma_y))

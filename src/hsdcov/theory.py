@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -109,7 +108,6 @@ class TheoryReport:
     sigma_sq: float
     local_a: float
     power: float
-    warnings: list = field(default_factory=list)
 
 
 def tau_sq(sigma_half) -> float:
@@ -141,26 +139,16 @@ def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int) -> VariancePart
     if tx_sq <= 0 or ty_sq <= 0:
         raise DegenerateBlocks("variance formula requires positive traces")
     f2 = frobenius_norm_sq(sxy)
-    f_x = frobenius_norm_sq(sx)
-    f_y = frobenius_norm_sq(sy)
-    # traces of products as tr(P M) = sum(P * M^T)
-    sigma1 = (4.0 / (n * tx_sq * ty_sq)) * (
-        frobenius_norm_sq(sxy @ syx)
-        + float(np.sum(sxy @ sy @ syx * sx.T))
-        + f2 * f2 * f_x / (2.0 * tx_sq * tx_sq)
-        + f2 * f2 * f_y / (2.0 * ty_sq * ty_sq)
-        - (2.0 * f2 / tx_sq) * float(np.sum(sxy @ syx * sx.T))
-        - (2.0 * f2 / ty_sq) * float(np.sum(syx @ sxy * sy.T))
-        + f2 * f2 * f2 / (tx_sq * ty_sq)
+    # sigma1 = 4 Var(L) / (n tau_x^2 tau_y^2) for the quadratic form
+    # L = X' S_xy Y - a |X|^2 - b |Y|^2 = Z' M Z of Z = (X, Y) ~ N(0, Sigma),
+    # and Var(Z' M Z) = 2 tr((M Sigma)^2) (Isserlis), so sigma1 >= 0
+    a, b = f2 / (2.0 * tx_sq), f2 / (2.0 * ty_sq)
+    m = np.block([[-a * np.eye(len(sx)), 0.5 * sxy], [0.5 * syx, -b * np.eye(len(sy))]])
+    ms = m @ np.block([[sx, sxy], [syx, sy]])
+    sigma1 = 8.0 * float(np.sum(ms * ms.T)) / (n * tx_sq * ty_sq)
+    sigma2 = (2.0 / (n * (n - 1) * tx_sq * ty_sq)) * (
+        frobenius_norm_sq(sx) * frobenius_norm_sq(sy) + f2 * f2
     )
-    sigma2 = (2.0 / (n * (n - 1) * tx_sq * ty_sq)) * (f_x * f_y + f2 * f2)
-    if sigma1 < 0:
-        warnings.warn(
-            "first-order variance term is negative; covariance lies outside "
-            "the bounded-spectrum regime",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     return VarianceParts(sigma1, sigma2, sigma1 + sigma2)
 
 
@@ -168,9 +156,8 @@ def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
     """First- and second-order variance contributions of the sample distance
     covariance, and their sum.
 
-    sigma1 can turn negative for covariances outside the bounded-spectrum
-    regime; the value is reported faithfully with a warning rather than
-    clamped, since clamping would corrupt standardization checks.
+    sigma1 is a positive multiple of the variance of a Gaussian quadratic
+    form, so it is >= 0 for every valid covariance.
     """
     return _variance_parts(blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y, n)
 
@@ -195,10 +182,11 @@ def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
 def varrho(
     kernels: tuple[KernelSpec, KernelSpec],
     gamma: tuple[float, float],
-    blocks: CovarianceBlocks,
+    tau: tuple[float, float],
 ) -> float:
     """Scaling factor relating kernelized and plain distance covariance:
-    f_x'(tau_x/gamma_x) f_y'(tau_y/gamma_y) / (gamma_x gamma_y).
+    f_x'(tau_x/gamma_x) f_y'(tau_y/gamma_y) / (gamma_x gamma_y), with
+    ``tau`` the population pair (sqrt(tau_sq(S_x)), sqrt(tau_sq(S_y))).
 
     Exact for the identity kernel; leading-order otherwise. Raises
     ``DegenerateKernel`` when a derivative magnitude falls below 1e-12.
@@ -206,8 +194,7 @@ def varrho(
     gx, gy = gamma
     if not (gx > 0 and gy > 0):
         raise ValueError("bandwidths must be positive")
-    rho_x = math.sqrt(tau_sq(blocks.sigma_x)) / gx
-    rho_y = math.sqrt(tau_sq(blocks.sigma_y)) / gy
+    rho_x, rho_y = tau[0] / gx, tau[1] / gy
     dx = float(kernels[0].f_prime(rho_x))
     dy = float(kernels[1].f_prime(rho_y))
     if abs(dx) < 1e-12 or abs(dy) < 1e-12:
@@ -334,11 +321,7 @@ def theory_report(
     blocks: CovarianceBlocks, n: int, alpha: float = 0.05
 ) -> TheoryReport:
     """Assemble every closed-form prediction into one report."""
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parts = sigma_bar_sq(blocks, n)
-    notes.extend(str(w.message) for w in caught)
+    parts = sigma_bar_sq(blocks, n)
     return TheoryReport(
         tau_x_sq=tau_sq(blocks.sigma_x),
         tau_y_sq=tau_sq(blocks.sigma_y),
@@ -348,5 +331,4 @@ def theory_report(
         sigma_sq=parts.total,
         local_a=local_param_A(blocks, n),
         power=theoretical_power(blocks, n, alpha),
-        warnings=notes,
     )

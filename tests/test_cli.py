@@ -293,6 +293,7 @@ class TestCmdTheory:
         report = json.loads(capsys.readouterr().out)
         assert report["sigma_sq"] == pytest.approx(1 / (2 * 200 * 199), rel=1e-12)
         assert report["sigma1_sq"] == 0.0
+        assert "warnings" not in report  # sigma1 >= 0, so there is nothing to warn of
 
     def test_local_parameter(self, capsys):
         assert main([

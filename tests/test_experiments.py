@@ -179,6 +179,27 @@ class TestRunClt:
                 scenario=SimScenario(n=10, p=2, rho=0.0),
                 standardize="bogus",
             )
+        with pytest.raises(ValueError):  # the scenario fixes n
+            CltConfig(reps=4, seed=1, scenario=SimScenario(n=200, p=10, rho=0.3), n=50)
+
+    def test_population_tau_computed_once_per_run(self, monkeypatch):
+        # _tau_pair, mean_expansion and sigma_bar_sq take tau_sq of both
+        # blocks once each; the per-replication kernel scaling reuses the pair
+        from hsdcov import experiments, theory
+
+        calls = []
+
+        def counting_tau_sq(sigma, inner=theory.tau_sq):
+            calls.append(1)
+            return inner(sigma)
+
+        monkeypatch.setattr(theory, "tau_sq", counting_tau_sq)
+        monkeypatch.setattr(experiments, "tau_sq", counting_tau_sq)
+        cfg = small_clt_config(
+            reps=50, scenario=SimScenario(n=8, p=2, rho=0.3), standardize="theory"
+        )
+        run_clt(cfg)
+        assert len(calls) == 6
 
 
 class TestRunPower:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -117,20 +116,29 @@ class TestSigmaBarSq:
             sigma1_trace_oracle(blocks, n), rel=1e-12
         )
 
-    def test_negative_first_order_warns_not_clamps(self):
-        # strongly anisotropic marginals push sigma1 negative
-        sx = np.diag([100.0, 0.01])
-        sy = np.diag([100.0, 0.01])
-        sxy = np.diag([0.9, 0.0005])
-        full = np.block([[sx, sxy], [sxy.T, sy]])
-        assert np.all(np.linalg.eigvalsh(full) > 0)
-        blocks = CovarianceBlocks(sx, sxy, sy)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_order_is_a_variance(self, seed):
+        # sigma1 is Var of a Gaussian quadratic form up to a positive factor:
+        # it stays >= 0 and agrees with the seven-term expansion, also on
+        # strongly anisotropic blocks
+        rng = np.random.default_rng(seed)
+        p, q = (int(k) for k in rng.integers(1, 12, size=2))
+        basis, _ = np.linalg.qr(rng.normal(size=(p + q, p + q)))
+        full = (basis * np.exp(rng.normal(scale=2.0, size=p + q))) @ basis.T
+        full = (full + full.T) / 2
+        cases = [
+            CovarianceBlocks(full[:p, :p], full[:p, p:], full[p:, p:]),
+            CovarianceBlocks(
+                np.diag([100.0, 0.01]), np.diag([0.9, 0.0005]), np.diag([100.0, 0.01])
+            ),
+        ]
+        for blocks in cases:
             parts = sigma_bar_sq(blocks, 10)
-        if parts.sigma1_sq < 0:
-            assert any("negative" in str(w.message) for w in caught)
-        assert parts.total == parts.sigma1_sq + parts.sigma2_sq
+            assert parts.sigma1_sq >= 0.0
+            assert parts.sigma1_sq == pytest.approx(
+                sigma1_trace_oracle(blocks, 10), rel=1e-12
+            )
+            assert parts.total == parts.sigma1_sq + parts.sigma2_sq
 
 
 def marginal_expansion_oracle(sx, n):
@@ -210,23 +218,21 @@ class TestLocalParam:
 
 class TestVarrho:
     def test_identity_kernels(self):
-        blocks = identity_case(3, 0.0)
-        got = varrho((identity_kernel(), identity_kernel()), (2.0, 5.0), blocks)
+        tau = (math.sqrt(6.0), math.sqrt(6.0))
+        got = varrho((identity_kernel(), identity_kernel()), (2.0, 5.0), tau)
         assert got == pytest.approx(1.0 / 10.0, rel=1e-14)
 
     def test_gaussian_at_sqrt2(self):
         p = 16
-        blocks = identity_case(p, 0.0)
-        tau = math.sqrt(2.0 * p)
+        tau = math.sqrt(tau_sq(np.eye(p)))
         gamma = tau / math.sqrt(2.0)
-        got = varrho((gaussian_kernel(), gaussian_kernel()), (gamma, gamma), blocks)
+        got = varrho((gaussian_kernel(), gaussian_kernel()), (gamma, gamma), (tau, tau))
         assert got == pytest.approx(2.0 * math.exp(-2.0) / gamma**2, rel=1e-12)
 
     def test_laplace_at_one(self):
         p = 8
-        blocks = identity_case(p, 0.0)
         gamma = math.sqrt(2.0 * p)  # rho = 1
-        got = varrho((laplace_kernel(), laplace_kernel()), (gamma, gamma), blocks)
+        got = varrho((laplace_kernel(), laplace_kernel()), (gamma, gamma), (gamma, gamma))
         assert got == pytest.approx(math.exp(-2.0) / gamma**2, rel=1e-12)
 
     def test_degenerate_derivative(self):
@@ -234,17 +240,16 @@ class TestVarrho:
 
         flat = custom_kernel(lambda w: np.ones_like(w), lambda w: 0.0)
         with pytest.raises(DegenerateKernel):
-            varrho((flat, flat), (1.0, 1.0), identity_case(2, 0.0))
+            varrho((flat, flat), (1.0, 1.0), (2.0, 2.0))
 
     def test_identity_scaling_ties_kernel_to_plain_statistic(self):
         from hsdcov.dcovstats import PairedSample, dcov_star, dcov_star_kernel
 
         rng = np.random.default_rng(23)
         sample = PairedSample(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)))
-        blocks = identity_case(3, 0.0)
         ks = (identity_kernel(), identity_kernel())
         gam = (2.0, 7.0)
-        scaled = varrho(ks, gam, blocks) * dcov_star(sample)
+        scaled = varrho(ks, gam, (math.sqrt(6.0), math.sqrt(6.0))) * dcov_star(sample)
         assert dcov_star_kernel(sample, ks, gam) == pytest.approx(scaled, rel=1e-12)
 
 
@@ -376,4 +381,3 @@ class TestTheoryReport:
         assert report.sigma_sq == report.sigma1_sq + report.sigma2_sq
         assert report.power >= 0.05 - 1e-9
         assert report.tau_x_sq == 20.0
-        assert report.warnings == []
