@@ -35,12 +35,10 @@ from .experiments import (
     run_power,
 )
 from .matcore import (
-    EigenConvergenceError,
     NotPositiveDefinite,
     cholesky,
     frobenius_norm_sq,
     pairwise_sq_distances,
-    sym_eigenvalues,
 )
 from .simgen import (
     NoiseDist,

@@ -24,7 +24,8 @@ class SampleTooSmall(Exception):
 
 
 class DegenerateSample(Exception):
-    """All pairwise distances vanish; data-driven bandwidths are undefined."""
+    """A data-driven bandwidth resolves to 0: the block has no spread, or
+    most of its rows coincide."""
 
 
 @dataclass(frozen=True)
@@ -248,6 +249,8 @@ def _kernel_block(x, kernel, spec, tau=None, dist=None):
     if n < 4:
         raise SampleTooSmall(f"U-centred statistics need n >= 4, got {n}")
     gamma = resolve_bandwidth(x, spec, tau, d)
+    if gamma == 0.0:
+        raise DegenerateSample(f"{spec.label()} bandwidth resolved to 0")
     if not gamma > 0:
         raise ValueError(f"bandwidth must be positive, got {gamma}")
     w = np.divide(d, gamma, out=d if dist is None else None)

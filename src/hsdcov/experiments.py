@@ -114,12 +114,6 @@ class CltConfig:
         if self.center not in ("theory", "empirical"):
             raise ValueError(f"unknown centering {self.center!r}")
 
-    def effective_blocks(self) -> CovarianceBlocks:
-        return self.blocks if self.blocks is not None else self.scenario.implied_blocks()
-
-    def effective_n(self) -> int:
-        return self.n if self.n is not None else self.scenario.n
-
 
 @dataclass
 class CltResult:
@@ -149,8 +143,8 @@ def _clt_replication(
 
 def run_clt(cfg: CltConfig) -> CltResult:
     """Run the configured replications and standardize the statistics."""
-    blocks = cfg.effective_blocks()
-    n = cfg.effective_n()
+    scn = cfg.scenario
+    blocks, n = (cfg.blocks, cfg.n) if scn is None else (scn.implied_blocks(), scn.n)
     tau_pop = _tau_pair(blocks)
     replicate = partial(_clt_replication, cfg, blocks, tau_pop)
     results = _ordered_map(replicate, cfg.reps, cfg.threads)

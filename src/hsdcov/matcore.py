@@ -1,5 +1,4 @@
-"""Dense real matrix kernels: norms, Cholesky, symmetric eigenvalues,
-pairwise squared distances.
+"""Dense real matrix kernels: norms, Cholesky, pairwise squared distances.
 
 Everything operates on plain ``numpy.ndarray`` objects (row-major semantics)
 and is a pure function of its inputs, so concurrent use is safe. Tolerances
@@ -19,10 +18,6 @@ SYMMETRY_RTOL = 1e-12
 class NotPositiveDefinite(Exception):
     """LAPACK rejected the matrix, or a Cholesky pivot fell at or below the
     positive-definiteness threshold."""
-
-
-class EigenConvergenceError(Exception):
-    """LAPACK's symmetric eigensolver did not converge."""
 
 
 def as_matrix(a, name: str = "matrix") -> Matrix:
@@ -75,15 +70,6 @@ def cholesky(s) -> Matrix:
             f"pivot {pivots[j]:.3e} at column {j} (threshold {threshold:.3e})"
         )
     return lower
-
-
-def sym_eigenvalues(s) -> Matrix:
-    """Eigenvalues of a symmetric matrix, nondecreasing, from LAPACK."""
-    a = check_symmetric(s, "eigensolver input")
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
 
 
 def pairwise_sq_distances(x) -> Matrix:

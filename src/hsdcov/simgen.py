@@ -47,10 +47,6 @@ class SimScenario:
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0,1), got {self.rho}")
 
-    @property
-    def q(self) -> int:
-        return self.p
-
     def implied_blocks(self) -> CovarianceBlocks:
         return CovarianceBlocks.identity_blocks(self.p, self.p, self.rho)
 

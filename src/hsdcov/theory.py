@@ -19,9 +19,9 @@ from .matcore import (
     check_symmetric,
     cholesky,
     frobenius_norm_sq,
-    sym_eigenvalues,
 )
 from .dcovstats import KernelSpec
+from .testkit import normal_cdf, normal_quantile
 
 
 class DegenerateKernel(Exception):
@@ -87,6 +87,8 @@ class CovarianceBlocks:
     @classmethod
     def identity_blocks(cls, p: int, q: int, rho_xy: float) -> "CovarianceBlocks":
         """S_x = I_p, S_y = I_q, S_xy = rho on the leading diagonal."""
+        if p < 1 or q < 1:
+            raise ValueError(f"p and q must be positive, got p={p}, q={q}")
         return cls(np.eye(p), rho_xy * np.eye(p, q), np.eye(q))
 
 
@@ -208,8 +210,8 @@ def varrho(
 def theoretical_power(blocks: CovarianceBlocks, n: int, alpha: float) -> float:
     """First-order power of the distance correlation test at level alpha:
     Phi(m - z) + Phi(-m - z) with m = A(Sigma)/sqrt(2) and z = z_{alpha/2}."""
-    from .testkit import normal_cdf, normal_quantile
-
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     m = local_param_A(blocks, n) / math.sqrt(2.0)
     z = normal_quantile(alpha / 2.0)
     return normal_cdf(m - z) + normal_cdf(-m - z)
@@ -273,7 +275,7 @@ def minimax_eigencheck(
         + c2 * (np.outer(u1 - v1, u1 - v1) + np.outer(u2 - v2, u2 - v2))
     )
 
-    spectrum = sym_eigenvalues(pert)
+    spectrum = np.linalg.eigvalsh(pert)
     nontrivial = spectrum[np.abs(spectrum) > NONTRIVIAL_TOL]
 
     uu = float(u1 @ u2)

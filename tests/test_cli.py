@@ -359,6 +359,25 @@ class TestCmdEigencheck:
     def test_invalid_scale_exit_3(self):
         assert main(["eigencheck", "--p", "6", "--q", "6", "--a", "0.5"]) == 3
 
+    def test_lapack_failure_exit_3(self, monkeypatch, capsys):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        assert main(["eigencheck", "--p", "4", "--q", "4"]) == 3
+        assert capsys.readouterr().err.startswith("hsdcov: error: ")
+
+    def test_seed_keys_the_library_stream(self, capsys):
+        # the signs come from derive_stream(seed, 0), which reads the seed
+        # modulo 2**64, so -1 and 2**64 - 1 draw the same signs
+        reports = []
+        for seed in ("-1", str(2**64 - 1)):
+            assert main(["eigencheck", "--seed", seed]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["config"]["seed"]
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("p, q", [(6, 6), (12, 12), (3, 10)])
     def test_default_scale_follows_p_and_q(self, p, q, capsys):
         assert main(["eigencheck", "--p", str(p), "--q", str(q)]) == 0
@@ -390,6 +409,11 @@ class TestConfigMerging:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["seed"] == 4242
 
+    def test_malformed_env_seed_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("HSDCOV_SEED", "abc")
+        assert main(["clt", "--reps", "2", "--n", "10", "--p", "2"]) == 2
+        assert "bad seed 'abc'" in capsys.readouterr().err
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
@@ -420,6 +444,8 @@ class TestExitCodes:
             (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--bandwidth", "rho:inf"], 2),
             (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--bandwidth", "fixed:nan"], 2),
             (["clt", "--bandwidth", "rho:inf", "--reps", "2"], 2),
+            (["theory", "--p", "0", "--rho-xy", "0.1"], 2),
+            (["theory", "--p", "3", "--q", "0", "--rho-xy", "0.1"], 2),
         ],
     )
     def test_exit_code(self, argv, code, tmp_path, capsys):

@@ -158,6 +158,27 @@ def test_degenerate_median_raises_everywhere(monkeypatch, runner):
     assert isinstance(err.value.__cause__, DegenerateSample)
 
 
+def duplicate_rows(n, p, distinct):
+    x = np.zeros((n, p))
+    x[:distinct] = np.random.default_rng(1).normal(size=(distinct, p))
+    return x
+
+
+# a bandwidth that resolves to 0 is one cause, whichever policy resolved it;
+# the constant block under the median is test_degenerate_median_raises_everywhere
+@pytest.mark.parametrize(
+    "x, bandwidth",
+    [
+        (np.ones((20, 3)), BandwidthSpec.rho(1.0)),
+        (duplicate_rows(20, 3, 5), BandwidthSpec.median()),  # zero lower median
+    ],
+)
+def test_zero_bandwidth_raises_degenerate_sample(x, bandwidth):
+    y = np.random.default_rng(2).normal(size=(20, 2))
+    with pytest.raises(DegenerateSample):
+        dcor_test(PairedSample(x, y), 0.05, bandwidths=(bandwidth, bandwidth))
+
+
 def test_power_rates_match_dcor_test():
     kernels = tuple(kernel_by_name(k) for k in KERNELS)
     bandwidths = (BandwidthSpec.rho(0.5), BandwidthSpec.rho(5.0))

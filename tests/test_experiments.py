@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hsdcov import experiments
 from hsdcov.dcovstats import BandwidthSpec, gaussian_kernel, identity_kernel
 from hsdcov.experiments import (
     CltConfig,
@@ -13,7 +14,7 @@ from hsdcov.experiments import (
     run_clt,
     run_power,
 )
-from hsdcov.simgen import NoiseDist, SimScenario
+from hsdcov.simgen import NoiseDist, SimScenario, derive_stream, sample_factor
 from hsdcov.testkit import normal_quantile
 from hsdcov.theory import CovarianceBlocks
 
@@ -103,13 +104,16 @@ class TestRunClt:
         b = run_clt(small_clt_config())
         assert a.standardized == b.standardized
 
-    def test_constant_values_standardize_to_zero(self):
-        # blocks route with a deterministic statistic is not constructible,
-        # so exercise the guard through the internal standardization branch
-        cfg = small_clt_config(reps=2)
+    def test_constant_values_standardize_to_zero(self, monkeypatch):
+        # every replication draws the same sample, so the statistics have
+        # no spread and the empirical standardization takes its sd == 0 branch
+        cfg = small_clt_config(reps=3)
+        sample = sample_factor(cfg.scenario, derive_stream(cfg.seed, 0))
+        monkeypatch.setattr(experiments, "sample_factor", lambda *args: sample)
         result = run_clt(cfg)
-        assert len(result.standardized) == 2
-        assert math.isfinite(result.ks_distance)
+        assert len(set(result.raw)) == 1
+        assert result.standardized == [0.0, 0.0, 0.0]
+        assert result.ks_distance == 0.5
 
     def test_replication_errors_carry_index(self):
         blocks = CovarianceBlocks.identity_blocks(3, 3, 0.0)

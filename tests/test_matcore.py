@@ -6,12 +6,10 @@ import pytest
 from hsdcov import theory
 from hsdcov.experiments import CltConfig, run_clt
 from hsdcov.matcore import (
-    EigenConvergenceError,
     NotPositiveDefinite,
     cholesky,
     frobenius_norm_sq,
     pairwise_sq_distances,
-    sym_eigenvalues,
 )
 
 
@@ -84,54 +82,6 @@ class TestCholesky:
         first = run_clt(cfg)
         assert run_clt(cfg).raw == first.raw
         assert shapes == [(5, 5)]  # one factorisation across 12 replications
-
-
-class TestSymEigenvalues:
-    def test_identity(self):
-        np.testing.assert_allclose(sym_eigenvalues(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_diagonal_sorted(self):
-        np.testing.assert_allclose(
-            sym_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
-        )
-
-    def test_two_by_two_closed_form(self):
-        np.testing.assert_allclose(
-            sym_eigenvalues([[0.0, 1.0], [1.0, 0.0]]), [-1.0, 1.0], atol=1e-12
-        )
-
-    @pytest.mark.parametrize("dim", [2, 7, 25, 80])
-    def test_trace_and_frobenius_identities(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        a = rng.normal(size=(dim, dim))
-        s = 0.5 * (a + a.T)
-        lam = sym_eigenvalues(s)
-        assert lam[0] <= lam[-1]
-        assert np.all(np.diff(lam) >= -1e-12)
-        tr = float(np.trace(s))
-        assert abs(lam.sum() - tr) <= 1e-8 * (1.0 + abs(tr))
-        fro = frobenius_norm_sq(s)
-        assert abs(np.sum(lam**2) - fro) <= 1e-8 * (1.0 + fro)
-
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(12, 12))
-        s = 0.5 * (a + a.T)
-        np.testing.assert_allclose(
-            sym_eigenvalues(s), np.linalg.eigvalsh(s), atol=1e-9
-        )
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            sym_eigenvalues([[0.0, 1.0], [0.5, 0.0]])
-
-    def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
-        def failing(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        with pytest.raises(EigenConvergenceError, match="did not converge"):
-            sym_eigenvalues(np.eye(3))
 
 
 class TestPairwiseSqDistances:

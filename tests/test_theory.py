@@ -54,6 +54,11 @@ class TestCovarianceBlocks:
         with pytest.raises(ValueError):
             CovarianceBlocks(np.eye(2), np.zeros((3, 2)), np.eye(2))
 
+    @pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
+    def test_identity_blocks_need_positive_dimensions(self, p, q):
+        with pytest.raises(ValueError, match="must be positive"):
+            CovarianceBlocks.identity_blocks(p, q, 0.1)
+
     def test_full_assembly(self):
         blocks = identity_case(2, 0.5)
         full = blocks.full()
@@ -290,6 +295,13 @@ class TestTheoreticalPower:
         want = phi_quadrature(m - z) + phi_quadrature(-m - z)
         got = theoretical_power(blocks, n, alpha)
         assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            theoretical_power(identity_case(5, 0.1), 100, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            theory_report(identity_case(5, 0.1), 100, alpha)
 
 
 class TestInvarianceUnderConjugation:
