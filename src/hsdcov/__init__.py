@@ -8,10 +8,8 @@ from .dcovstats import (
     KernelSpec,
     PairedSample,
     SampleTooSmall,
-    dcor_star,
     dcov_parts,
     dcov_star,
-    dcov_star_kernel,
     dcov_star_marginal,
     dcov_ustat_oracle,
     gaussian_kernel,

@@ -102,12 +102,16 @@ def _float_list(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _alpha(value) -> float:
-    """A test level, strictly between 0 and 1."""
-    alpha = float(value)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    return alpha
+def _float_in(lo: float, hi: float) -> Callable[[Any], float]:
+    """A flag type: a float strictly between lo and hi, so never NaN."""
+
+    def convert(value) -> float:
+        number = float(value)
+        if not lo < number < hi:
+            raise ValueError(f"must lie in ({lo:g},{hi:g})")
+        return number
+
+    return convert
 
 
 def _boolean(value) -> bool:
@@ -361,7 +365,7 @@ class Command(NamedTuple):
     flags: tuple[Flag, ...]
 
 
-_ALPHA = Flag("alpha", _alpha, 0.05)
+_ALPHA = Flag("alpha", _float_in(0.0, 1.0), 0.05)
 _SEED = Flag("seed", int, _default_seed)
 _KERNEL = Flag("kernel", default="identity", choices=KERNEL_NAMES)
 _BANDWIDTH = Flag("bandwidth", default="fixed:1.0", help="fixed:<g> | median | rho:<target>")
@@ -421,7 +425,7 @@ _COMMANDS = {
     "eigencheck": Command(_cmd_eigencheck, "minimax perturbation identity check", (
         Flag("p", int, 6),
         Flag("q", int, 6),
-        Flag("a", float, help="perturbation scale (default 1/(4pq))"),
+        Flag("a", _float_in(-np.inf, np.inf), help="perturbation scale (default 1/(4pq))"),
         _SEED,
         Flag("u_signs"),
         Flag("v_signs"),

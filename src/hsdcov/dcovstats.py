@@ -15,9 +15,6 @@ from .matcore import Matrix, as_matrix, check_symmetric, pairwise_sq_distances
 
 ORACLE_MAX_N = 12
 
-# degenerate-denominator guard for distance correlation ratios
-_DENOM_FLOOR = 1e-300
-
 
 class SampleTooSmall(Exception):
     """Fewer observations than the estimator's denominators allow."""
@@ -110,26 +107,25 @@ def kernel_by_name(name: str) -> KernelSpec:
 
 @dataclass(frozen=True)
 class BandwidthSpec:
-    """Bandwidth policy: fixed gamma, median pairwise distance, or a target
-    ratio rho = tau/gamma inverted against the (population or estimated) tau."""
+    """Bandwidth policy and its value: ``fixed`` gamma, the ``median``
+    pairwise distance (no value), or ``rho``, a target ratio tau/gamma
+    inverted against the (population or estimated) tau."""
 
     policy: str
-    gamma: Optional[float] = None
-    rho_target: Optional[float] = None
+    value: Optional[float] = None
 
     def __post_init__(self):
-        if self.policy == "fixed":
-            if self.gamma is None or not 0 < self.gamma < math.inf:
-                raise ValueError("fixed bandwidth requires a finite gamma > 0")
-        elif self.policy == "rho":
-            if self.rho_target is None or not 0 < self.rho_target < math.inf:
-                raise ValueError("rho bandwidth requires a finite rho_target > 0")
-        elif self.policy != "median":
+        if self.policy == "median":
+            if self.value is not None:
+                raise ValueError("median bandwidth takes no value")
+        elif self.policy not in ("fixed", "rho"):
             raise ValueError(f"unknown bandwidth policy {self.policy!r}")
+        elif self.value is None or not 0 < self.value < math.inf:
+            raise ValueError(f"{self.policy} bandwidth requires a finite value > 0")
 
     @classmethod
     def fixed(cls, gamma: float) -> "BandwidthSpec":
-        return cls("fixed", gamma=float(gamma))
+        return cls("fixed", float(gamma))
 
     @classmethod
     def median(cls) -> "BandwidthSpec":
@@ -137,26 +133,17 @@ class BandwidthSpec:
 
     @classmethod
     def rho(cls, rho_target: float) -> "BandwidthSpec":
-        return cls("rho", rho_target=float(rho_target))
+        return cls("rho", float(rho_target))
 
     @classmethod
     def parse(cls, text: str) -> "BandwidthSpec":
-        """Grammar: ``fixed:<gamma>``, ``median``, ``rho:<rho_target>``."""
-        if text == "median":
-            return cls.median()
-        head, sep, value = text.partition(":")
-        if sep and head == "fixed":
-            return cls.fixed(float(value))
-        if sep and head == "rho":
-            return cls.rho(float(value))
-        raise ValueError(f"cannot parse bandwidth spec {text!r}")
+        """Grammar: ``fixed:<gamma>``, ``median``, ``rho:<rho_target>``; the
+        inverse of ``label``."""
+        policy, sep, value = text.partition(":")
+        return cls(policy, float(value) if sep else None)
 
     def label(self) -> str:
-        if self.policy == "fixed":
-            return f"fixed:{self.gamma!r}"
-        if self.policy == "rho":
-            return f"rho:{self.rho_target!r}"
-        return "median"
+        return self.policy if self.value is None else f"{self.policy}:{float(self.value)!r}"
 
 
 def kernel_matrix(x, kernel: KernelSpec, gamma: float) -> Matrix:
@@ -208,8 +195,6 @@ def pairwise_distance_median(x, dist: Optional[Matrix] = None) -> float:
     upper = np.concatenate([d[s, s + 1 :] for s in range(n - 1)])
     k = (upper.size - 1) // 2
     upper.partition(k)
-    if upper[k] == 0.0 and not upper.any():
-        raise DegenerateSample("all pairwise distances are zero")
     return float(upper[k])
 
 
@@ -220,23 +205,27 @@ def estimate_tau(x) -> float:
     if m.shape[0] < 2:
         raise SampleTooSmall("tau estimation needs n >= 2")
     c = m - m.mean(axis=0)
-    return math.sqrt(2.0 * float(np.vdot(c, c)) / (m.shape[0] - 1))
+    return math.sqrt(2.0 * float(np.einsum("ij,ij->", c, c)) / (m.shape[0] - 1))
 
 
 def resolve_bandwidth(
     x, spec: BandwidthSpec, tau: Optional[float] = None, dist: Optional[Matrix] = None
 ) -> float:
-    """Resolve a bandwidth policy to a concrete gamma for one data block.
-
-    ``tau`` supplies the population value for the rho policy; when None the
-    value is estimated from the data. ``dist`` is passed to the median.
-    """
+    """A concrete gamma > 0 for one block. ``tau`` is the population value for
+    the rho policy (estimated when None); ``dist`` is passed to the median. A
+    gamma of exactly 0 (no spread, or most rows coincide) raises
+    ``DegenerateSample``; any other gamma that is not > 0 raises ``ValueError``."""
     if spec.policy == "fixed":
-        return float(spec.gamma)
-    if spec.policy == "median":
-        return pairwise_distance_median(x, dist)
-    t = float(tau) if tau is not None else estimate_tau(x)
-    return t / float(spec.rho_target)
+        gamma = spec.value
+    elif spec.policy == "median":
+        gamma = pairwise_distance_median(x, dist)
+    else:
+        gamma = (float(tau) if tau is not None else estimate_tau(x)) / spec.value
+    if gamma == 0.0:
+        raise DegenerateSample(f"{spec.policy} bandwidth resolved to zero")
+    if not gamma > 0:
+        raise ValueError(f"bandwidth must be positive, got {gamma}")
+    return gamma
 
 
 def _kernel_block(x, kernel, spec, tau=None, dist=None):
@@ -249,10 +238,6 @@ def _kernel_block(x, kernel, spec, tau=None, dist=None):
     if n < 4:
         raise SampleTooSmall(f"U-centred statistics need n >= 4, got {n}")
     gamma = resolve_bandwidth(x, spec, tau, d)
-    if gamma == 0.0:
-        raise DegenerateSample(f"{spec.label()} bandwidth resolved to 0")
-    if not gamma > 0:
-        raise ValueError(f"bandwidth must be positive, got {gamma}")
     w = np.divide(d, gamma, out=d if dist is None else None)
     k = np.asarray(kernel.f(w), dtype=np.float64)
     np.fill_diagonal(k, 0.0)
@@ -271,7 +256,8 @@ def _u_inner(a, b) -> float:
     <A*, B*> = <A, B> - 2 <r_a, r_b>/(n-2) + (1'r_a)(1'r_b)/((n-1)(n-2))."""
     (ka, ra, _), (kb, rb, _) = a, b
     n = ka.shape[0]
-    total = float(np.vdot(ka, kb)) - 2.0 / (n - 2) * float(ra @ rb)
+    # einsum's own loop, unlike BLAS, sums in one order for any thread count
+    total = float(np.einsum("ij,ij->", ka, kb)) - 2.0 / (n - 2) * float(ra @ rb)
     total += float(ra.sum()) * float(rb.sum()) / ((n - 1) * (n - 2))
     return total / (n * (n - 3))
 
@@ -289,15 +275,18 @@ class DcovParts(NamedTuple):
     @property
     def degenerate(self) -> bool:
         """A marginal (a sum of squares) is not positive, as for a constant
-        block, or the product underflows: statistic and correlation are 0."""
-        v_x, v_y = self.v_x, self.v_y
-        return not (v_x > 0.0 and v_y > 0.0 and v_x * v_y > _DENOM_FLOOR)
+        block: statistic and correlation are then 0."""
+        return not (self.v_x > 0.0 and self.v_y > 0.0)
 
-    def studentized(self) -> float:
-        """n v_xy / sqrt(2 v_x v_y), or 0 when degenerate."""
+    def correlation(self) -> float:
+        """v_xy / (sqrt v_x sqrt v_y), or 0 when degenerate; no v_x v_y to overflow."""
         if self.degenerate:
             return 0.0
-        return self.n * self.v_xy / math.sqrt(2.0 * self.v_x * self.v_y)
+        return self.v_xy / (math.sqrt(self.v_x) * math.sqrt(self.v_y))
+
+    def studentized(self) -> float:
+        """n v_xy / sqrt(2 v_x v_y) = n correlation / sqrt 2, or 0 when degenerate."""
+        return self.n * self.correlation() / math.sqrt(2.0)
 
 
 def dcov_parts(
@@ -310,7 +299,7 @@ def dcov_parts(
     """The statistic core. Each block's distance matrix is built once from
     column-centred data (or read from ``dists``), its bandwidth resolved from
     it (``tau``: population values for the rho policy) and the kernel applied
-    in place; v_xy, v_x and v_y then take row sums and one ``vdot`` each."""
+    in place; v_xy, v_x and v_y then take row sums and one ``einsum`` each."""
     tau, dists = tau or (None, None), dists or (None, None)
     bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, tau, dists)
     parts = _u_inner(bx, by), _u_inner(bx, bx), _u_inner(by, by)
@@ -329,29 +318,6 @@ def dcov_star_marginal(x) -> float:
     """dcov_star of a block with itself; a sum of squares, hence >= 0."""
     block = _kernel_block(x, identity_kernel(), BandwidthSpec.fixed(1.0))
     return _u_inner(block, block)
-
-
-def dcov_star_kernel(
-    sample: PairedSample,
-    kernels: tuple[KernelSpec, KernelSpec],
-    gamma: tuple[float, float],
-) -> float:
-    """Generalized sample distance covariance with per-block kernels and
-    bandwidths, built on zero-diagonal kernel matrices."""
-    return dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma))).v_xy
-
-
-def dcor_star(
-    sample: PairedSample,
-    kernels: tuple[KernelSpec, KernelSpec] = (identity_kernel(), identity_kernel()),
-    gamma: tuple[float, float] = (1.0, 1.0),
-) -> float:
-    """Kernelized distance correlation with the 0/0 -> 0 convention: a
-    degenerate sample (``DcovParts.degenerate``) maps to 0."""
-    parts = dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma)))
-    if parts.degenerate:
-        return 0.0
-    return parts.v_xy / math.sqrt(parts.v_x * parts.v_y)
 
 
 def dcov_ustat_oracle(sample: PairedSample) -> float:

@@ -261,7 +261,7 @@ def minimax_eigencheck(
     p, q = s1.size, t1.size
     if p == 0 or q == 0:
         raise ValueError("sign vectors must be nonempty")
-    if abs(a) * p * q >= 1.0:
+    if not abs(a) * p * q < 1.0:
         raise ValueError(f"|a| p q = {abs(a) * p * q} must be < 1")
 
     u1, u2 = (np.concatenate([math.sqrt(q) * s, np.zeros(q)]) for s in (s1, s2))

@@ -437,6 +437,8 @@ class TestExitCodes:
             (["power", "--alpha", "2", "--out", "{d}/o.csv"], 2),
             (["eigencheck", "--p", "0"], 2),
             (["eigencheck", "--p", "-1"], 2),
+            (["eigencheck", "--p", "3", "--q", "3", "--a", "nan"], 2),
+            (["eigencheck", "--p", "3", "--q", "3", "--a", "inf"], 2),
             (["power", "--p", "0", "--out", "{d}/o.csv"], 2),
             (["power", "--n", "0", "--out", "{d}/o.csv"], 2),
             (["power", "--rho-grid", "1.0", "--out", "{d}/o.csv"], 2),

@@ -3,7 +3,11 @@ replaced: U-centred matrices, brute-force pair enumeration and the 4th-order
 U-statistic oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from hsdcov.dcovstats import (
     BandwidthSpec,
     DegenerateSample,
     PairedSample,
-    dcor_star,
     dcov_parts,
     dcov_star,
     dcov_ustat_oracle,
@@ -136,7 +139,48 @@ def test_constant_block_is_degenerate(name):
     assert parts.v_y == 0.0 and parts.degenerate
     result = dcor_test(sample, 0.05, (kernel, kernel), (BandwidthSpec.fixed(1.7),) * 2)
     assert result.degenerate and result.statistic == 0.0 and result.p_value == 1.0
-    assert dcor_star(sample, (kernel, kernel), (1.7, 1.7)) == 0.0
+    assert parts.correlation() == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e80])
+@pytest.mark.parametrize(
+    "name, spec",
+    [("identity", BandwidthSpec.fixed(1.0)), ("gaussian", BandwidthSpec.median())],
+    ids=["identity-fixed", "gaussian-median"],
+)
+def test_statistic_is_scale_free(name, spec, scale):
+    # n v_xy / sqrt(2 v_x v_y) has no units: at gamma = 1 the identity
+    # kernel's v_x v_y moves by scale^4, far past the float range
+    sample = dependent_sample(3, 100, p=5, q=5)
+    kernels = (kernel_by_name(name),) * 2
+    want = dcov_parts(sample, kernels, (spec, spec)).studentized()
+    scaled = PairedSample(sample.x * scale, sample.y * scale)
+    parts = dcov_parts(scaled, kernels, (spec, spec))
+    assert not parts.degenerate
+    assert parts.studentized() == pytest.approx(want, rel=1e-12)
+
+
+PROBE = """
+import numpy as np
+from hsdcov.dcovstats import BandwidthSpec, PairedSample, dcov_parts, gaussian_kernel
+rng = np.random.default_rng(3)
+for n, spec in ((200, BandwidthSpec.median()), (1000, BandwidthSpec.rho(1.0))):
+    x = rng.normal(size=(n, 50))
+    sample = PairedSample(x, x + rng.normal(size=(n, 50)))
+    print(repr(dcov_parts(sample, (gaussian_kernel(),) * 2, (spec, spec))))
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def constant_sample(*args):

@@ -8,9 +8,8 @@ from hsdcov.dcovstats import (
     DegenerateSample,
     PairedSample,
     SampleTooSmall,
-    dcor_star,
+    dcov_parts,
     dcov_star,
-    dcov_star_kernel,
     dcov_star_marginal,
     dcov_ustat_oracle,
     gaussian_kernel,
@@ -251,25 +250,28 @@ class TestDcovStarMarginal:
         assert dcov_star_marginal(x) == pytest.approx(expected, rel=1e-12)
 
 
+def at_gamma(sample, kernels=(identity_kernel(), identity_kernel()), gamma=(1.0, 1.0)):
+    """``dcov_parts`` at fixed per-block bandwidths."""
+    return dcov_parts(sample, kernels, tuple(map(BandwidthSpec.fixed, gamma)))
+
+
 class TestDcovStarKernel:
     def test_identity_unit_gamma_reduces(self):
         sample = seeded_sample(30, 7, 2, 3)
         ks = (identity_kernel(), identity_kernel())
-        assert dcov_star_kernel(sample, ks, (1.0, 1.0)) == dcov_star(sample)
+        assert at_gamma(sample, ks, (1.0, 1.0)).v_xy == dcov_star(sample)
 
     def test_identity_homogeneity_in_gamma(self):
         sample = seeded_sample(31, 7, 2, 3)
         ks = (identity_kernel(), identity_kernel())
         a, b = 2.0, 5.0
-        got = dcov_star_kernel(sample, ks, (a, b))
+        got = at_gamma(sample, ks, (a, b)).v_xy
         want = dcov_star(sample) / (a * b)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
     def test_gaussian_matches_loop_reference(self):
         sample = seeded_sample(32, 6, 2, 2)
-        got = dcov_star_kernel(
-            sample, (gaussian_kernel(), gaussian_kernel()), (1.5, 0.7)
-        )
+        got = at_gamma(sample, (gaussian_kernel(), gaussian_kernel()), (1.5, 0.7)).v_xy
         want = dcov_kernel_loops(
             sample.x,
             sample.y,
@@ -284,25 +286,25 @@ class TestDcovStarKernel:
 class TestDcorStar:
     def test_constant_x_zero_by_convention(self):
         sample = PairedSample(np.ones((6, 2)), seeded_sample(1, 6, 2, 2).y)
-        assert dcor_star(sample) == 0.0
+        assert at_gamma(sample).correlation() == 0.0
 
     def test_self_correlation_is_one(self):
         x = seeded_sample(40, 8, 3, 3).x
         sample = PairedSample(x, x.copy())
-        assert dcor_star(sample) == pytest.approx(1.0, rel=1e-12)
+        assert at_gamma(sample).correlation() == pytest.approx(1.0, rel=1e-12)
 
     def test_compositional_ratio(self):
         sample = seeded_sample(41, 8, 2, 3)
         ks = (laplace_kernel(), gaussian_kernel())
         gam = (2.0, 3.0)
-        v_xy = dcov_star_kernel(sample, ks, gam)
-        v_x = dcov_star_kernel(
+        v_xy = at_gamma(sample, ks, gam).v_xy
+        v_x = at_gamma(
             PairedSample(sample.x, sample.x), (ks[0], ks[0]), (gam[0], gam[0])
-        )
-        v_y = dcov_star_kernel(
+        ).v_xy
+        v_y = at_gamma(
             PairedSample(sample.y, sample.y), (ks[1], ks[1]), (gam[1], gam[1])
-        )
-        assert dcor_star(sample, ks, gam) == pytest.approx(
+        ).v_xy
+        assert at_gamma(sample, ks, gam).correlation() == pytest.approx(
             v_xy / math.sqrt(v_x * v_y), rel=1e-12
         )
 
@@ -342,11 +344,31 @@ class TestResolveBandwidth:
         assert got == pytest.approx(math.sqrt(14.0 / 3.0) / 2.0, rel=1e-14)
 
     def test_parse_grammar(self):
-        assert BandwidthSpec.parse("fixed:2.5").gamma == 2.5
+        assert BandwidthSpec.parse("fixed:2.5").value == 2.5
         assert BandwidthSpec.parse("median").policy == "median"
-        assert BandwidthSpec.parse("rho:1.4142135").rho_target == 1.4142135
+        assert BandwidthSpec.parse("rho:1.4142135").value == 1.4142135
         with pytest.raises(ValueError):
             BandwidthSpec.parse("bogus:1")
+
+    @pytest.mark.parametrize(
+        "policy, value", [("median", 2.0), ("fixed", None), ("rho", None)]
+    )
+    def test_value_given_iff_not_median(self, policy, value):
+        with pytest.raises(ValueError):
+            BandwidthSpec(policy, value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BandwidthSpec.fixed(0.1),
+            BandwidthSpec.median(),
+            BandwidthSpec.rho(2.0**0.5),
+            BandwidthSpec("rho", np.float64(1.2)),  # numpy 2 reprs it as np.float64(1.2)
+        ],
+        ids=["fixed", "median", "rho", "rho-numpy-scalar"],
+    )
+    def test_parse_inverts_label(self, spec):
+        assert BandwidthSpec.parse(spec.label()) == spec
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,15 @@ class TestVarrho:
             varrho((flat, flat), (1.0, 1.0), (2.0, 2.0))
 
     def test_identity_scaling_ties_kernel_to_plain_statistic(self):
-        from hsdcov.dcovstats import PairedSample, dcov_star, dcov_star_kernel
+        from hsdcov.dcovstats import BandwidthSpec, PairedSample, dcov_parts, dcov_star
 
         rng = np.random.default_rng(23)
         sample = PairedSample(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)))
         ks = (identity_kernel(), identity_kernel())
         gam = (2.0, 7.0)
         scaled = varrho(ks, gam, (math.sqrt(6.0), math.sqrt(6.0))) * dcov_star(sample)
-        assert dcov_star_kernel(sample, ks, gam) == pytest.approx(scaled, rel=1e-12)
+        parts = dcov_parts(sample, ks, tuple(map(BandwidthSpec.fixed, gam)))
+        assert parts.v_xy == pytest.approx(scaled, rel=1e-12)
 
 
 def phi_quadrature(x, steps=200000):
@@ -373,6 +374,11 @@ class TestMinimaxEigencheck:
             minimax_eigencheck(
                 (np.ones(4), np.ones(4)), (np.ones(4), np.ones(4)), 0.1
             )
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale(self, a):
+        with pytest.raises(ValueError, match="must be < 1"):
+            minimax_eigencheck((np.ones(3), np.ones(3)), (np.ones(3), np.ones(3)), a)
 
     def test_bad_signs(self):
         with pytest.raises(ValueError):
