@@ -208,7 +208,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(text)

@@ -109,7 +109,7 @@ def kernel_by_name(name: str) -> KernelSpec:
 class BandwidthSpec:
     """Bandwidth policy and its value: ``fixed`` gamma, the ``median``
     pairwise distance (no value), or ``rho``, a target ratio tau/gamma
-    inverted against the (population or estimated) tau."""
+    inverted against the estimated tau (``at_tau`` fixes a known tau)."""
 
     policy: str
     value: Optional[float] = None
@@ -134,6 +134,10 @@ class BandwidthSpec:
     @classmethod
     def rho(cls, rho_target: float) -> "BandwidthSpec":
         return cls("rho", float(rho_target))
+
+    def at_tau(self, tau: float) -> "BandwidthSpec":
+        """``rho:t`` as ``fixed:tau/t`` at a known tau; other specs unchanged."""
+        return BandwidthSpec.fixed(tau / self.value) if self.policy == "rho" else self
 
     @classmethod
     def parse(cls, text: str) -> "BandwidthSpec":
@@ -208,27 +212,25 @@ def estimate_tau(x) -> float:
     return math.sqrt(2.0 * float(np.einsum("ij,ij->", c, c)) / (m.shape[0] - 1))
 
 
-def resolve_bandwidth(
-    x, spec: BandwidthSpec, tau: Optional[float] = None, dist: Optional[Matrix] = None
-) -> float:
-    """A concrete gamma > 0 for one block. ``tau`` is the population value for
-    the rho policy (estimated when None); ``dist`` is passed to the median. A
-    gamma of exactly 0 (no spread, or most rows coincide) raises
-    ``DegenerateSample``; any other gamma that is not > 0 raises ``ValueError``."""
+def resolve_bandwidth(x, spec: BandwidthSpec, dist: Optional[Matrix] = None) -> float:
+    """A concrete gamma in (0, inf) for one block; rho inverts the estimated
+    tau and ``dist`` is passed to the median. A gamma of exactly 0 (no spread,
+    or most rows coincide) raises ``DegenerateSample``; any other gamma
+    outside (0, inf) raises ``ValueError``."""
     if spec.policy == "fixed":
         gamma = spec.value
     elif spec.policy == "median":
         gamma = pairwise_distance_median(x, dist)
     else:
-        gamma = (float(tau) if tau is not None else estimate_tau(x)) / spec.value
+        gamma = estimate_tau(x) / spec.value
     if gamma == 0.0:
         raise DegenerateSample(f"{spec.policy} bandwidth resolved to zero")
-    if not gamma > 0:
-        raise ValueError(f"bandwidth must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {gamma}")
     return gamma
 
 
-def _kernel_block(x, kernel, spec, tau=None, dist=None):
+def _kernel_block(x, kernel, spec, dist=None):
     """(K, row sums of K, gamma) for one block, K being the zero-diagonal kernel
     matrix less its off-diagonal mean, which U-centring ignores; removing it
     keeps ``_u_inner`` well conditioned and zeroes a constant block. ``dist``
@@ -237,7 +239,7 @@ def _kernel_block(x, kernel, spec, tau=None, dist=None):
     n = d.shape[0]
     if n < 4:
         raise SampleTooSmall(f"U-centred statistics need n >= 4, got {n}")
-    gamma = resolve_bandwidth(x, spec, tau, d)
+    gamma = resolve_bandwidth(x, spec, d)
     w = np.divide(d, gamma, out=d if dist is None else None)
     k = np.asarray(kernel.f(w), dtype=np.float64)
     np.fill_diagonal(k, 0.0)
@@ -293,15 +295,13 @@ def dcov_parts(
     sample: PairedSample,
     kernels: tuple[KernelSpec, KernelSpec] = (identity_kernel(), identity_kernel()),
     bandwidths: tuple[BandwidthSpec, BandwidthSpec] = (BandwidthSpec.fixed(1.0),) * 2,
-    tau=None,
     dists=None,
 ) -> DcovParts:
     """The statistic core. Each block's distance matrix is built once from
     column-centred data (or read from ``dists``), its bandwidth resolved from
-    it (``tau``: population values for the rho policy) and the kernel applied
-    in place; v_xy, v_x and v_y then take row sums and one ``einsum`` each."""
-    tau, dists = tau or (None, None), dists or (None, None)
-    bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, tau, dists)
+    it and the kernel applied in place; v_xy, v_x and v_y then take row sums
+    and one ``einsum`` each."""
+    bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, dists or (None, None))
     parts = _u_inner(bx, by), _u_inner(bx, bx), _u_inner(by, by)
     return DcovParts(*parts, (bx[2], by[2]), sample.n)
 
@@ -316,8 +316,7 @@ def dcov_star(sample: PairedSample) -> float:
 
 def dcov_star_marginal(x) -> float:
     """dcov_star of a block with itself; a sum of squares, hence >= 0."""
-    block = _kernel_block(x, identity_kernel(), BandwidthSpec.fixed(1.0))
-    return _u_inner(block, block)
+    return dcov_parts(PairedSample(x, x)).v_x
 
 
 def dcov_ustat_oracle(sample: PairedSample) -> float:

@@ -129,16 +129,13 @@ def _tau_pair(blocks: CovarianceBlocks) -> tuple[float, float]:
     return math.sqrt(tau_sq(blocks.sigma_x)), math.sqrt(tau_sq(blocks.sigma_y))
 
 
-def _clt_replication(
-    cfg: CltConfig, blocks: CovarianceBlocks, tau_pop: tuple[float, float], index: int
-):
+def _clt_replication(cfg: CltConfig, blocks: CovarianceBlocks, bandwidths: tuple, index: int):
     stream = derive_stream(cfg.seed, index)
     if cfg.scenario is not None:
         sample = sample_factor(cfg.scenario, stream)
     else:
         sample = sample_gaussian(blocks, cfg.n, stream)
-    parts = dcov_parts(sample, cfg.kernels, cfg.bandwidths, tau_pop)
-    return (parts.v_xy, *parts.gamma)
+    return dcov_parts(sample, cfg.kernels, bandwidths)
 
 
 def run_clt(cfg: CltConfig) -> CltResult:
@@ -146,15 +143,16 @@ def run_clt(cfg: CltConfig) -> CltResult:
     scn = cfg.scenario
     blocks, n = (cfg.blocks, cfg.n) if scn is None else (scn.implied_blocks(), scn.n)
     tau_pop = _tau_pair(blocks)
-    replicate = partial(_clt_replication, cfg, blocks, tau_pop)
+    bandwidths = tuple(map(BandwidthSpec.at_tau, cfg.bandwidths, tau_pop))
+    replicate = partial(_clt_replication, cfg, blocks, bandwidths)
     results = _ordered_map(replicate, cfg.reps, cfg.threads)
-    values = np.array([r[0] for r in results])
+    values = np.array([r.v_xy for r in results])
 
     if cfg.standardize == "empirical":
         sd = float(values.std(ddof=1))
         standardized = (values - values.mean()) / sd if sd > 0 else np.zeros_like(values)
     else:
-        scalings = np.array([varrho(cfg.kernels, (gx, gy), tau_pop) for _, gx, gy in results])
+        scalings = np.array([varrho(cfg.kernels, r.gamma, tau_pop) for r in results])
         rescaled = values / scalings
         if cfg.standardize == "null":
             tau_prod = math.sqrt(tau_sq(blocks.sigma_x) * tau_sq(blocks.sigma_y))
@@ -231,24 +229,22 @@ class PowerResult:
     cells: list[PowerCell]
 
 
-def _power_replication(
-    cfg: PowerConfig, rho_index: int, tau_pop: tuple[float, float], rep: int
-) -> list[float]:
+def _power_replication(cfg: PowerConfig, r_idx: int, bandwidths: list, rep: int) -> list[float]:
     """Studentized statistics of one dataset in every (kernel, bandwidth)
     cell, sharing the distance matrices so universality comparisons are
     paired. The identity kernel's statistic does not depend on the bandwidth
     and is computed once."""
-    scenario = cfg.scenarios[rho_index]
-    stream = derive_stream(cfg.seed, rho_index * cfg.reps + rep)
+    scenario = cfg.scenarios[r_idx]
+    stream = derive_stream(cfg.seed, r_idx * cfg.reps + rep)
     sample = sample_factor(scenario, stream)
     dists = (distance_matrix(sample.x), distance_matrix(sample.y))
 
     stats = []
     for kernel in cfg.kernels:
         stat = None
-        for bw in cfg.bandwidths:
+        for pair in bandwidths:
             if stat is None or kernel.kind != "identity":
-                parts = dcov_parts(sample, (kernel, kernel), (bw, bw), tau_pop, dists)
+                parts = dcov_parts(sample, (kernel, kernel), pair, dists)
                 stat = parts.studentized()
             stats.append(stat)
     return stats
@@ -261,7 +257,9 @@ def run_power(cfg: PowerConfig) -> PowerResult:
     rates, powers = [], []
     for r_idx, scenario in enumerate(cfg.scenarios):
         blocks = scenario.implied_blocks()
-        replicate = partial(_power_replication, cfg, r_idx, _tau_pair(blocks))
+        tau_x, tau_y = _tau_pair(blocks)
+        bandwidths = [(bw.at_tau(tau_x), bw.at_tau(tau_y)) for bw in cfg.bandwidths]
+        replicate = partial(_power_replication, cfg, r_idx, bandwidths)
         stats = _ordered_map(replicate, cfg.reps, cfg.threads)
         rates.append(np.mean(np.abs(stats) > threshold, axis=0))
         powers.append(theoretical_power(blocks, cfg.n, cfg.alpha))

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
 
 from .dcovstats import BandwidthSpec, KernelSpec, PairedSample, dcov_parts, identity_kernel
 
@@ -42,7 +41,6 @@ def dcor_test(
         BandwidthSpec.fixed(1.0),
         BandwidthSpec.fixed(1.0),
     ),
-    tau: Optional[tuple[float, float]] = None,
 ) -> TestResult:
     """Two-sided independence test on the studentized kernel distance
     covariance: statistic n v_xy / sqrt(2 v_x v_y) against z_{alpha/2}.
@@ -54,7 +52,7 @@ def dcor_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    parts = dcov_parts(sample, kernels, bandwidths, tau)
+    parts = dcov_parts(sample, kernels, bandwidths)
     stat = parts.studentized()
     threshold = normal_quantile(alpha / 2.0)
     kx, ky = kernels

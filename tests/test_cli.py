@@ -448,6 +448,11 @@ class TestExitCodes:
             (["clt", "--bandwidth", "rho:inf", "--reps", "2"], 2),
             (["theory", "--p", "0", "--rho-xy", "0.1"], 2),
             (["theory", "--p", "3", "--q", "0", "--rho-xy", "0.1"], 2),
+            # a subnormal target overflows gamma to inf: refused, not degenerate
+            (["test", "--x", "{d}/x.csv", "--y", "{d}/x.csv", "--kernel", "gaussian",
+              "--bandwidth", "rho:1e-320"], 3),
+            (["clt", "--n", "20", "--p", "4", "--kernel", "gaussian",
+              "--bandwidth", "rho:1e-320", "--reps", "2"], 3),
         ],
     )
     def test_exit_code(self, argv, code, tmp_path, capsys):

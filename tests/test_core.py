@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -103,6 +103,78 @@ def test_core_matches_oracle(blocks):
     assert abs(got - want) <= 1e-9 * (abs(want) + scale) + 1e-300
 
 
+# Invariances at the oracle's sizes. Hypothesis picks n, the dimensions, a
+# seed, each block's scale and the strength of the dependence; the blocks are
+# Gaussian draws, so neither is near-constant. A sample with two rows closer
+# than 1e-3 of their block's largest distance is filtered out with ``assume``:
+# ``pairwise_sq_distances`` takes distances from a Gram product, whose
+# round-off gives a close pair a relative error of about eps (spread/distance)^2,
+# so a translation or rotation moves the statistic by more than 1e-9 there
+# (1.2e-8 at n = 4 with two rows 2.8e-4 apart; coincident rows do the same).
+def rows_apart(m):
+    gaps = [math.dist(a, b) for a, b in combinations(m.tolist(), 2)]
+    return min(gaps) > 1e-3 * max(gaps)
+
+
+@st.composite
+def invariance_cases(draw):
+    n, p, q = draw(st.integers(4, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scale_x, scale_y = (10.0 ** draw(st.integers(-3, 3)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p))
+    y = rng.normal(size=(n, q)) + draw(st.floats(0.0, 3.0)) * x[:, :1]
+    assume(rows_apart(x) and rows_apart(y))
+    return x * scale_x, y * scale_y, rng
+
+
+def rotated(m, rng):
+    return m @ np.linalg.qr(rng.normal(size=(m.shape[1],) * 2))[0]
+
+
+def assert_same_statistic(kernel, spec, sample, *moved):
+    def stat(x, y):
+        return dcov_parts(PairedSample(x, y), (kernel, kernel), (spec, spec)).studentized()
+
+    want = stat(*sample)
+    for x, y in moved:
+        assert abs(stat(x, y) - want) <= 1e-9 * (1.0 + abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(invariance_cases())
+def test_identity_kernel_invariances(case):
+    x, y, rng = case
+    perm = rng.permutation(x.shape[0])
+    assert_same_statistic(
+        kernel_by_name("identity"), BandwidthSpec.fixed(1.0), (x, y),
+        (x + rng.uniform(-100, 100, x.shape[1]) * np.abs(x).max(),
+         y + rng.uniform(-100, 100, y.shape[1]) * np.abs(y).max()),
+        (rotated(x, rng), rotated(y, rng)),
+        (x[perm], y[perm]),
+        (y, x),
+    )
+    # v_xy itself is homogeneous: scaling the blocks by c and c' scales it by |c c'|
+    c, c_prime = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3, 3, 2)
+    parts = dcov_parts(PairedSample(x, y))
+    scaled = dcov_parts(PairedSample(c * x, c_prime * y)).v_xy
+    unit = abs(c * c_prime) * math.sqrt(parts.v_x * parts.v_y)
+    assert abs(scaled - abs(c * c_prime) * parts.v_xy) <= 1e-9 * unit
+
+
+@pytest.mark.parametrize("name", ["gaussian", "laplace"])
+@settings(max_examples=60, deadline=None)
+@given(invariance_cases())
+def test_median_bandwidth_invariances(name, case):
+    x, y, rng = case
+    perm = rng.permutation(x.shape[0])
+    assert_same_statistic(
+        kernel_by_name(name), BandwidthSpec.median(), (x, y),
+        (rotated(x, rng), rotated(y, rng)),
+        (x[perm], y[perm]),
+        (y, x),
+    )
+
+
 def brute_pair_distances(x):
     return [math.dist(a, b) for a, b in combinations(x.tolist(), 2)]
 
@@ -171,16 +243,40 @@ for n, spec in ((200, BandwidthSpec.median()), (1000, BandwidthSpec.rho(1.0))):
 """
 
 
-def test_bits_do_not_depend_on_blas_threads():
+# the factor model at rho = 0: replications of ``clt --n 300 --p 60 --seed 3``
+PROBE_N300 = """
+from hsdcov.dcovstats import BandwidthSpec, dcov_parts, gaussian_kernel
+from hsdcov.simgen import SimScenario, derive_stream, sample_factor
+spec = BandwidthSpec.median()
+for index in range(4):
+    sample = sample_factor(SimScenario(n=300, p=60, rho=0.0), derive_stream(3, index))
+    print(repr(dcov_parts(sample, (gaussian_kernel(),) * 2, (spec, spec))))
+"""
+
+
+def outputs_under_blas_threads(probe):
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = set()
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
         run = subprocess.run(
-            [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         outputs.add(run.stdout)
-    assert len(outputs) == 1
+    return outputs
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    assert len(outputs_under_blas_threads(PROBE)) == 1
+
+
+@pytest.mark.xfail(
+    strict=False,
+    reason="the Gram product in pairwise_sq_distances changes bits with the BLAS "
+    "thread count at some n (300 here, not 200 or 1000); ROADMAP item 1 pins BLAS",
+)
+def test_bits_do_not_depend_on_blas_threads_at_n300():
+    assert len(outputs_under_blas_threads(PROBE_N300)) == 1
 
 
 def constant_sample(*args):
@@ -230,12 +326,12 @@ def test_power_rates_match_dcor_test():
         n=40, p=6, rho_grid=(0.2,), kernels=kernels, bandwidths=bandwidths, reps=8, seed=5
     )
     scenario = SimScenario(n=40, p=6, rho=0.2)
-    tau = (math.sqrt(tau_sq(scenario.implied_blocks().sigma_x)),) * 2
+    tau = math.sqrt(tau_sq(scenario.implied_blocks().sigma_x))
     flags = []
     for rep in range(cfg.reps):
         sample = sample_factor(scenario, derive_stream(cfg.seed, rep))
         flags.append(
-            [dcor_test(sample, cfg.alpha, (k, k), (b, b), tau).reject
+            [dcor_test(sample, cfg.alpha, (k, k), (b.at_tau(tau), b.at_tau(tau))).reject
              for k in kernels for b in bandwidths]
         )
     want = np.mean(np.asarray(flags, dtype=float), axis=0)

@@ -332,10 +332,27 @@ class TestResolveBandwidth:
     def test_rho_target_with_population_tau(self):
         p = 100
         x = np.zeros((2, p))
-        got = resolve_bandwidth(
-            x, BandwidthSpec.rho(math.sqrt(2.0)), tau=math.sqrt(2.0 * p)
-        )
-        assert got == pytest.approx(10.0, rel=1e-14)
+        spec = BandwidthSpec.rho(math.sqrt(2.0)).at_tau(math.sqrt(2.0 * p))
+        assert resolve_bandwidth(x, spec) == pytest.approx(10.0, rel=1e-14)
+
+    @pytest.mark.parametrize("tau, target", [(math.sqrt(200.0), math.sqrt(2.0)), (7.3, 0.3)])
+    def test_at_tau_fixes_rho_target(self, tau, target):
+        spec = BandwidthSpec.rho(target).at_tau(tau)
+        assert spec == BandwidthSpec.fixed(tau / target)
+        assert spec.value == tau / target
+
+    @pytest.mark.parametrize("spec", [BandwidthSpec.fixed(2.5), BandwidthSpec.median()])
+    def test_at_tau_keeps_other_policies(self, spec):
+        assert spec.at_tau(7.3) is spec
+
+    def test_overflowing_gamma_is_value_error(self):
+        # estimated tau over a subnormal target overflows to gamma = inf
+        x = np.array([[0.0], [1.0], [3.0], [4.0]])
+        spec = BandwidthSpec.rho(1e-320)
+        with pytest.raises(ValueError, match="finite"):
+            resolve_bandwidth(x, spec)
+        with pytest.raises(ValueError, match="finite"):
+            dcov_parts(PairedSample(x, x), (gaussian_kernel(),) * 2, (spec, spec))
 
     def test_rho_target_estimated_tau(self):
         x = np.array([[0.0], [1.0], [3.0]])

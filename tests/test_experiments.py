@@ -186,6 +186,33 @@ class TestRunClt:
         with pytest.raises(ValueError):  # the scenario fixes n
             CltConfig(reps=4, seed=1, scenario=SimScenario(n=200, p=10, rho=0.3), n=50)
 
+    def test_rho_target_at_population_tau_is_fixed_gamma(self):
+        blocks = CovarianceBlocks.identity_blocks(6, 4, 0.3)
+        tau_x, tau_y = math.sqrt(12.0), math.sqrt(8.0)  # tau^2 = 2 tr S
+        results = [
+            run_clt(
+                CltConfig(
+                    reps=12, seed=4, blocks=blocks, n=30, standardize="theory",
+                    kernels=(gaussian_kernel(), gaussian_kernel()), bandwidths=bandwidths,
+                )
+            )
+            for bandwidths in (
+                (BandwidthSpec.rho(1.0), BandwidthSpec.rho(1.0)),
+                (BandwidthSpec.fixed(tau_x), BandwidthSpec.fixed(tau_y)),
+            )
+        ]
+        assert results[0].raw == results[1].raw
+        assert results[0].standardized == results[1].standardized
+
+    def test_zero_population_tau_fails_before_any_replication(self, monkeypatch):
+        # a rho target at tau = 0 is the invalid fixed gamma 0, refused before
+        # the runner reaches a replication (which would now fail to start)
+        monkeypatch.setattr(experiments, "_clt_replication", None)
+        blocks = CovarianceBlocks(np.zeros((2, 2)), np.zeros((2, 3)), np.eye(3))
+        rho = BandwidthSpec.rho(1.0)
+        with pytest.raises(ValueError, match="fixed bandwidth"):
+            run_clt(CltConfig(reps=4, seed=0, blocks=blocks, n=10, bandwidths=(rho, rho)))
+
     def test_population_tau_computed_once_per_run(self, monkeypatch):
         # _tau_pair, mean_expansion and sigma_bar_sq take tau_sq of both
         # blocks once each; the per-replication kernel scaling reuses the pair
