@@ -137,7 +137,7 @@ class BandwidthSpec:
 
     def at_tau(self, tau: float) -> "BandwidthSpec":
         """``rho:t`` as ``fixed:tau/t`` at a known tau; other specs unchanged."""
-        return BandwidthSpec.fixed(tau / self.value) if self.policy == "rho" else self
+        return BandwidthSpec.fixed(_valid_gamma(tau / self.value)) if self.policy == "rho" else self
 
     @classmethod
     def parse(cls, text: str) -> "BandwidthSpec":
@@ -212,6 +212,12 @@ def estimate_tau(x) -> float:
     return math.sqrt(2.0 * float(np.einsum("ij,ij->", c, c)) / (m.shape[0] - 1))
 
 
+def _valid_gamma(gamma: float) -> float:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {gamma}")
+    return gamma
+
+
 def resolve_bandwidth(x, spec: BandwidthSpec, dist: Optional[Matrix] = None) -> float:
     """A concrete gamma in (0, inf) for one block; rho inverts the estimated
     tau and ``dist`` is passed to the median. A gamma of exactly 0 (no spread,
@@ -225,9 +231,7 @@ def resolve_bandwidth(x, spec: BandwidthSpec, dist: Optional[Matrix] = None) -> 
         gamma = estimate_tau(x) / spec.value
     if gamma == 0.0:
         raise DegenerateSample(f"{spec.policy} bandwidth resolved to zero")
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"bandwidth must be finite and positive, got {gamma}")
-    return gamma
+    return _valid_gamma(gamma)
 
 
 def _kernel_block(x, kernel, spec, dist=None):
@@ -251,17 +255,19 @@ def _kernel_block(x, kernel, spec, dist=None):
     return k, k.sum(axis=1), gamma
 
 
-def _u_inner(a, b) -> float:
+def _u_inner(a, b, tol: float = 0.0) -> float:
     """(1/(n(n-3))) sum_{k != l} A*_{kl} B*_{kl} for two ``_kernel_block``
     results, by the U-centring inner-product identity (Szekely & Rizzo 2014)
     on row sums r, so A* and B* are never formed:
-    <A*, B*> = <A, B> - 2 <r_a, r_b>/(n-2) + (1'r_a)(1'r_b)/((n-1)(n-2))."""
+    <A*, B*> = <A, B> - 2 <r_a, r_b>/(n-2) + (1'r_a)(1'r_b)/((n-1)(n-2)).
+    With ``tol`` > 0, a result at or below tol n eps <A, B>/(n(n-3)) is 0."""
     (ka, ra, _), (kb, rb, _) = a, b
     n = ka.shape[0]
     # einsum's own loop, unlike BLAS, sums in one order for any thread count
-    total = float(np.einsum("ij,ij->", ka, kb)) - 2.0 / (n - 2) * float(ra @ rb)
+    raw = float(np.einsum("ij,ij->", ka, kb))
+    total = raw - 2.0 / (n - 2) * float(ra @ rb)
     total += float(ra.sum()) * float(rb.sum()) / ((n - 1) * (n - 2))
-    return total / (n * (n - 3))
+    return 0.0 if tol and total <= tol * n * math.ulp(1.0) * raw else total / (n * (n - 3))
 
 
 class DcovParts(NamedTuple):
@@ -277,7 +283,10 @@ class DcovParts(NamedTuple):
     @property
     def degenerate(self) -> bool:
         """A marginal (a sum of squares) is not positive, as for a constant
-        block: statistic and correlation are then 0."""
+        block: statistic and correlation are then 0. ``dcov_parts`` takes a
+        marginal at or below 8 n eps <K, K>/(n(n-3)) as exactly 0, K being the
+        block's kernel matrix less its off-diagonal mean: the round-off of a
+        U-centred matrix that vanishes without the block being constant."""
         return not (self.v_x > 0.0 and self.v_y > 0.0)
 
     def correlation(self) -> float:
@@ -302,7 +311,7 @@ def dcov_parts(
     it and the kernel applied in place; v_xy, v_x and v_y then take row sums
     and one ``einsum`` each."""
     bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, dists or (None, None))
-    parts = _u_inner(bx, by), _u_inner(bx, bx), _u_inner(by, by)
+    parts = _u_inner(bx, by), _u_inner(bx, bx, 8.0), _u_inner(by, by, 8.0)
     return DcovParts(*parts, (bx[2], by[2]), sample.n)
 
 
@@ -393,31 +402,27 @@ def hoeffding_sum(sample: PairedSample, blocks) -> float:
     4 U_n(g1) + 6 U_n(g2), with the unknown constant term dropped
     symmetrically with ``tbar_fluctuation``."""
     _check_blocks_shape(sample, blocks)
-    x, y = sample.x, sample.y
-    n = sample.n
+    x, y, n = sample.x, sample.y, sample.n
     if n < 2:
         raise SampleTooSmall("hoeffding_sum needs n >= 2")
     sxy = blocks.sigma_xy
     f2 = float(np.sum(sxy * sxy))
-    tr_x = float(np.trace(blocks.sigma_x))
-    tr_y = float(np.trace(blocks.sigma_y))
+    tr_x, tr_y = float(np.trace(blocks.sigma_x)), float(np.trace(blocks.sigma_y))
     tau_x_sq, tau_y_sq = 2.0 * tr_x, 2.0 * tr_y
     tau_prod = math.sqrt(tau_x_sq * tau_y_sq)
 
     d = np.einsum("ij,ij->i", x @ sxy, y)  # d_i = X_i' S_xy Y_i
-    dev_x = np.sum(x * x, axis=1) - tr_x
-    dev_y = np.sum(y * y, axis=1) - tr_y
+    sq_x, sq_y = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
     g1 = (
-        d - f2 - f2 / (2.0 * tau_x_sq) * dev_x - f2 / (2.0 * tau_y_sq) * dev_y
+        d - f2 - f2 / (2.0 * tau_x_sq) * (sq_x - tr_x) - f2 / (2.0 * tau_y_sq) * (sq_y - tr_y)
     ) / (2.0 * tau_prod)
-    u1 = float(g1.mean())
 
-    cross = (x @ x.T) * (y @ y.T)  # cross[i,j] = X_i'X_j Y_i'Y_j
-    e = x @ sxy @ y.T  # e[i,j] = X_i' S_xy Y_j
-    iu = np.triu_indices(n, k=1)
-    pair_vals = (
-        cross[iu] - d[iu[0]] - d[iu[1]] + f2 - e[iu] - e.T[iu]
-    ) / (6.0 * tau_prod)
-    u2 = float(pair_vals.mean())
+    # g2 summed over pairs i != j through row sums and the p x q product X'Y:
+    # sum X_i'X_j Y_i'Y_j = |X'Y|_F^2 - sum |X_i|^2 |Y_i|^2 and
+    # sum X_i'S_xy Y_j = (1'X) S_xy (Y'1) - sum d_i
+    xty = x.T @ y
+    cross = float(np.sum(xty * xty)) - float(sq_x @ sq_y)
+    e = float(x.sum(axis=0) @ sxy @ y.sum(axis=0)) - float(d.sum())
+    u2 = ((cross - 2.0 * e) / (n * (n - 1)) - 2.0 * float(d.mean()) + f2) / (6.0 * tau_prod)
 
-    return 4.0 * u1 + 6.0 * u2
+    return 4.0 * float(g1.mean()) + 6.0 * u2

@@ -2,9 +2,10 @@
 against normal quantiles) and power / power-universality tables, plus the
 Kolmogorov-Smirnov and quantile utilities they report through.
 
-Replications are pure functions of (master seed, replication index), so the
-runners may fan out over threads without changing any output; aggregation is
-a deterministic fold in replication order.
+Replications are pure functions of (master seed, stream index), and each
+runner maps all of its stream indices in one ordered pass, so it may fan out
+over threads without changing any output; aggregation is a deterministic fold
+in stream order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ QUANTILE_PROBS = tuple(round(0.01 * i, 2) for i in range(1, 100))
 
 
 class ReplicationError(Exception):
-    """A statistic failed inside one replication; carries the index."""
+    """A statistic failed inside one replication. ``index`` is its stream
+    index in either runner, so ``derive_stream(seed, index)`` replays it."""
 
     def __init__(self, index: int, cause: BaseException):
         super().__init__(f"replication {index} failed: {cause}")
@@ -61,8 +63,9 @@ def empirical_quantiles(xs: Sequence[float], probs: Sequence[float]) -> list[flo
 
 
 def _ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
-    """``[fn(i) for i in range(count)]`` on ``threads`` workers; a failure
-    is re-raised as ``ReplicationError`` carrying its index."""
+    """``[fn(i) for i in range(count)]`` on ``threads`` workers (at least one);
+    a failure is re-raised as ``ReplicationError`` carrying its index, and
+    ``Executor.map`` cancels the calls not yet started."""
 
     def attempt(i: int):
         try:
@@ -70,9 +73,7 @@ def _ordered_map(fn: Callable[[int], object], count: int, threads: int) -> list:
         except Exception as exc:
             raise ReplicationError(i, exc) from exc
 
-    if threads <= 1:
-        return [attempt(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         return list(pool.map(attempt, range(count)))
 
 
@@ -129,22 +130,18 @@ def _tau_pair(blocks: CovarianceBlocks) -> tuple[float, float]:
     return math.sqrt(tau_sq(blocks.sigma_x)), math.sqrt(tau_sq(blocks.sigma_y))
 
 
-def _clt_replication(cfg: CltConfig, blocks: CovarianceBlocks, bandwidths: tuple, index: int):
-    stream = derive_stream(cfg.seed, index)
-    if cfg.scenario is not None:
-        sample = sample_factor(cfg.scenario, stream)
-    else:
-        sample = sample_gaussian(blocks, cfg.n, stream)
-    return dcov_parts(sample, cfg.kernels, bandwidths)
+def _clt_replication(cfg: CltConfig, draw: Callable, bandwidths: tuple, index: int):
+    return dcov_parts(draw(derive_stream(cfg.seed, index)), cfg.kernels, bandwidths)
 
 
 def run_clt(cfg: CltConfig) -> CltResult:
     """Run the configured replications and standardize the statistics."""
     scn = cfg.scenario
     blocks, n = (cfg.blocks, cfg.n) if scn is None else (scn.implied_blocks(), scn.n)
+    draw = partial(sample_gaussian, blocks, n) if scn is None else partial(sample_factor, scn)
     tau_pop = _tau_pair(blocks)
     bandwidths = tuple(map(BandwidthSpec.at_tau, cfg.bandwidths, tau_pop))
-    replicate = partial(_clt_replication, cfg, blocks, bandwidths)
+    replicate = partial(_clt_replication, cfg, draw, bandwidths)
     results = _ordered_map(replicate, cfg.reps, cfg.threads)
     values = np.array([r.v_xy for r in results])
 
@@ -229,20 +226,19 @@ class PowerResult:
     cells: list[PowerCell]
 
 
-def _power_replication(cfg: PowerConfig, r_idx: int, bandwidths: list, rep: int) -> list[float]:
-    """Studentized statistics of one dataset in every (kernel, bandwidth)
-    cell, sharing the distance matrices so universality comparisons are
-    paired. The identity kernel's statistic does not depend on the bandwidth
-    and is computed once."""
-    scenario = cfg.scenarios[r_idx]
-    stream = derive_stream(cfg.seed, r_idx * cfg.reps + rep)
-    sample = sample_factor(scenario, stream)
+def _power_replication(cfg: PowerConfig, bandwidths: list, index: int) -> list[float]:
+    """Studentized statistics of dataset ``index`` (rho number index // reps)
+    in every (kernel, bandwidth) cell, sharing the distance matrices so
+    universality comparisons are paired. The identity kernel's statistic does
+    not depend on the bandwidth and is computed once."""
+    r_idx = index // cfg.reps
+    sample = sample_factor(cfg.scenarios[r_idx], derive_stream(cfg.seed, index))
     dists = (distance_matrix(sample.x), distance_matrix(sample.y))
 
     stats = []
     for kernel in cfg.kernels:
         stat = None
-        for pair in bandwidths:
+        for pair in bandwidths[r_idx]:
             if stat is None or kernel.kind != "identity":
                 parts = dcov_parts(sample, (kernel, kernel), pair, dists)
                 stat = parts.studentized()
@@ -254,20 +250,19 @@ def run_power(cfg: PowerConfig) -> PowerResult:
     """Empirical rejection rate per (kernel, bandwidth, rho) cell alongside
     the closed-form power prediction."""
     threshold = normal_quantile(cfg.alpha / 2.0)
-    rates, powers = [], []
-    for r_idx, scenario in enumerate(cfg.scenarios):
-        blocks = scenario.implied_blocks()
-        tau_x, tau_y = _tau_pair(blocks)
-        bandwidths = [(bw.at_tau(tau_x), bw.at_tau(tau_y)) for bw in cfg.bandwidths]
-        replicate = partial(_power_replication, cfg, r_idx, bandwidths)
-        stats = _ordered_map(replicate, cfg.reps, cfg.threads)
-        rates.append(np.mean(np.abs(stats) > threshold, axis=0))
-        powers.append(theoretical_power(blocks, cfg.n, cfg.alpha))
+    blocks = [scenario.implied_blocks() for scenario in cfg.scenarios]
+    taus = map(_tau_pair, blocks)
+    bandwidths = [[(bw.at_tau(tx), bw.at_tau(ty)) for bw in cfg.bandwidths] for tx, ty in taus]
+    replicate = partial(_power_replication, cfg, bandwidths)
+    stats = _ordered_map(replicate, len(blocks) * cfg.reps, cfg.threads)
+    # counts of booleans are exact, so the axis-1 mean keeps each rho's bits
+    rates = np.mean(np.abs(stats).reshape(len(blocks), cfg.reps, -1) > threshold, axis=1)
+    powers = [theoretical_power(b, cfg.n, cfg.alpha) for b in blocks]
 
     cells = []
     for col, (kernel, bw) in enumerate(itertools.product(cfg.kernels, cfg.bandwidths)):
         for r_idx, rho in enumerate(cfg.rho_grid):
-            rate = float(rates[r_idx][col])
+            rate = float(rates[r_idx, col])
             cells.append(
                 PowerCell(
                     kernel=kernel.kind,

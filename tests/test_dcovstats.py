@@ -308,6 +308,16 @@ class TestDcorStar:
             v_xy / math.sqrt(v_x * v_y), rel=1e-12
         )
 
+    @pytest.mark.parametrize("shift", [0.0, 3.0, 1000.0, -46.0])
+    def test_round_off_marginal_is_degenerate_at_any_shift(self, shift):
+        # one row apart from five coincident rows: the U-centred distance
+        # matrix vanishes, and v_x is +-2e-16 of round-off whose sign moves
+        # with a translation (T = 4.24 at -46 without the relative rule)
+        x = np.array([[2.0], [0.0], [0.0], [0.0], [0.0], [0.0]])
+        parts = dcov_parts(PairedSample(x + shift, 2.0 - x + shift))
+        assert parts.degenerate and parts.v_x == parts.v_y == 0.0
+        assert parts.studentized() == 0.0
+
 
 # ---------------------------------------------------------------------------
 # bandwidth resolution
@@ -353,6 +363,8 @@ class TestResolveBandwidth:
             resolve_bandwidth(x, spec)
         with pytest.raises(ValueError, match="finite"):
             dcov_parts(PairedSample(x, x), (gaussian_kernel(),) * 2, (spec, spec))
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            spec.at_tau(3.0)  # the same rule at a population tau
 
     def test_rho_target_estimated_tau(self):
         x = np.array([[0.0], [1.0], [3.0]])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestRunClt:
         monkeypatch.setattr(experiments, "_clt_replication", None)
         blocks = CovarianceBlocks(np.zeros((2, 2)), np.zeros((2, 3)), np.eye(3))
         rho = BandwidthSpec.rho(1.0)
-        with pytest.raises(ValueError, match="fixed bandwidth"):
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
             run_clt(CltConfig(reps=4, seed=0, blocks=blocks, n=10, bandwidths=(rho, rho)))
 
     def test_population_tau_computed_once_per_run(self, monkeypatch):
@@ -307,9 +308,43 @@ class TestRunPower:
         with pytest.raises(ValueError):
             PowerConfig(**{"n": 20, "p": 2, "rho_grid": (0.0,), **sizes})
 
+    def test_failure_reports_its_stream_index(self, monkeypatch):
+        # stream 7 of 2 rho x 5 reps is rho number 1, rep 2; it is recognised
+        # by its first draw, not by the index the runner passes along
+        cfg = PowerConfig(n=10, p=2, rho_grid=(0.0, 0.3), reps=5, seed=3)
+        marker = derive_stream(cfg.seed, 7).generator().standard_normal()
+
+        def failing_on_stream_7(scenario, stream):
+            if stream.generator().standard_normal() == marker:
+                raise RuntimeError("injected")
+            return sample_factor(scenario, stream)
+
+        monkeypatch.setattr(experiments, "sample_factor", failing_on_stream_7)
+        with pytest.raises(ReplicationError, match="replication 7 failed") as err:
+            run_power(cfg)
+        assert err.value.index == 7
+
     def test_one_scenario_per_rho(self):
         cfg = PowerConfig(n=20, p=3, rho_grid=(0.0, 0.5), dist=NoiseDist.SCALED_T4)
         assert [(s.n, s.p, s.rho, s.dist) for s in cfg.scenarios] == [
             (20, 3, 0.0, NoiseDist.SCALED_T4),
             (20, 3, 0.5, NoiseDist.SCALED_T4),
         ]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_ordered_map_stops_after_a_failure(threads):
+    # Executor.map cancels the calls not yet started once a result raises,
+    # so a failing first replication does not run the other 199
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        if i == 0:
+            raise RuntimeError("first")
+        time.sleep(0.05)
+
+    with pytest.raises(ReplicationError) as err:
+        experiments._ordered_map(fn, 200, threads)
+    assert err.value.index == 0
+    assert len(calls) <= 2 * threads
