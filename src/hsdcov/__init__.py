@@ -10,7 +10,6 @@ from .dcovstats import (
     SampleTooSmall,
     dcov_parts,
     dcov_star,
-    dcov_star_marginal,
     dcov_ustat_oracle,
     gaussian_kernel,
     hoeffding_sum,

@@ -199,12 +199,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(c)) if isinstance(c, float) else str(c) for c in row
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _dump_json(payload: dict, path: str | None) -> None:
@@ -236,10 +231,7 @@ def _cmd_test(v: dict, config: dict) -> int:
         kernels=(kernel, kernel),
         bandwidths=(bandwidth, bandwidth),
     )
-    payload = dataclasses.asdict(result)
-    payload["kernel"] = payload.pop("kernel_label")
-    payload["bandwidth"] = payload.pop("bandwidth_used")
-    _dump_json({**payload, "config": config}, v["output"])
+    _dump_json({**dataclasses.asdict(result), "config": config}, v["output"])
     return EXIT_OK
 
 
@@ -319,10 +311,8 @@ def _blocks(v: dict) -> CovarianceBlocks:
 def _cmd_theory(v: dict, config: dict) -> int:
     blocks = _blocks(v)
     report = theory_report(blocks, v["n"], v["alpha"])
-    payload = dataclasses.asdict(report)
-    payload["A"] = payload.pop("local_a")
-    payload["config"] = {**config, "p": blocks.p, "q": blocks.q}
-    _dump_json(payload, v["output"])
+    config = {**config, "p": blocks.p, "q": blocks.q}
+    _dump_json({**dataclasses.asdict(report), "config": config}, v["output"])
     return EXIT_OK
 
 

@@ -55,8 +55,8 @@ class KernelSpec:
 
     Built-ins: identity f(w)=w, gaussian f(w)=exp(-w^2/2), laplace
     f(w)=exp(-w). f may overwrite its float64 argument, as the built-ins do.
-    Custom kernels must supply f_prime explicitly; no numerical
-    differentiation happens downstream.
+    A custom kernel is ``KernelSpec("custom", f, f_prime)``, its derivative
+    given explicitly; no numerical differentiation happens downstream.
     """
 
     kind: str
@@ -82,10 +82,6 @@ def laplace_kernel() -> KernelSpec:
         lambda w: np.exp(np.negative(w, out=w), out=w),
         lambda w: -math.exp(-w),
     )
-
-
-def custom_kernel(f, f_prime) -> KernelSpec:
-    return KernelSpec("custom", f, f_prime)
 
 
 _KERNELS = {
@@ -156,9 +152,7 @@ def kernel_matrix(x, kernel: KernelSpec, gamma: float) -> Matrix:
     The zero diagonal applies to every kernel, identity included; for the
     identity kernel the result is the plain distance matrix over gamma.
     """
-    if not gamma > 0:
-        raise ValueError(f"bandwidth must be positive, got {gamma}")
-    k = np.asarray(kernel.f(distance_matrix(x) / gamma), dtype=np.float64)
+    k = np.asarray(kernel.f(distance_matrix(x) / _valid_gamma(gamma)), dtype=np.float64)
     np.fill_diagonal(k, 0.0)
     if not np.all(np.isfinite(k)):
         raise ValueError(f"{kernel.kind} kernel produced non-finite values")
@@ -321,11 +315,6 @@ def dcov_star(sample: PairedSample) -> float:
     (1/(n(n-3))) sum_{k != l} A*_{kl} B*_{kl}; may be negative.
     """
     return dcov_parts(sample).v_xy
-
-
-def dcov_star_marginal(x) -> float:
-    """dcov_star of a block with itself; a sum of squares, hence >= 0."""
-    return dcov_parts(PairedSample(x, x)).v_x
 
 
 def dcov_ustat_oracle(sample: PairedSample) -> float:

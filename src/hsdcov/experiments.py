@@ -126,10 +126,6 @@ class CltResult:
     raw: list[float] = field(default_factory=list)
 
 
-def _tau_pair(blocks: CovarianceBlocks) -> tuple[float, float]:
-    return math.sqrt(tau_sq(blocks.sigma_x)), math.sqrt(tau_sq(blocks.sigma_y))
-
-
 def _clt_replication(cfg: CltConfig, draw: Callable, bandwidths: tuple, index: int):
     return dcov_parts(draw(derive_stream(cfg.seed, index)), cfg.kernels, bandwidths)
 
@@ -139,8 +135,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
     scn = cfg.scenario
     blocks, n = (cfg.blocks, cfg.n) if scn is None else (scn.implied_blocks(), scn.n)
     draw = partial(sample_gaussian, blocks, n) if scn is None else partial(sample_factor, scn)
-    tau_pop = _tau_pair(blocks)
-    bandwidths = tuple(map(BandwidthSpec.at_tau, cfg.bandwidths, tau_pop))
+    bandwidths = tuple(map(BandwidthSpec.at_tau, cfg.bandwidths, blocks.tau))
     replicate = partial(_clt_replication, cfg, draw, bandwidths)
     results = _ordered_map(replicate, cfg.reps, cfg.threads)
     values = np.array([r.v_xy for r in results])
@@ -149,7 +144,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
         sd = float(values.std(ddof=1))
         standardized = (values - values.mean()) / sd if sd > 0 else np.zeros_like(values)
     else:
-        scalings = np.array([varrho(cfg.kernels, r.gamma, tau_pop) for r in results])
+        scalings = np.array([varrho(cfg.kernels, r.gamma, blocks.tau) for r in results])
         rescaled = values / scalings
         if cfg.standardize == "null":
             tau_prod = math.sqrt(tau_sq(blocks.sigma_x) * tau_sq(blocks.sigma_y))
@@ -251,8 +246,7 @@ def run_power(cfg: PowerConfig) -> PowerResult:
     the closed-form power prediction."""
     threshold = normal_quantile(cfg.alpha / 2.0)
     blocks = [scenario.implied_blocks() for scenario in cfg.scenarios]
-    taus = map(_tau_pair, blocks)
-    bandwidths = [[(bw.at_tau(tx), bw.at_tau(ty)) for bw in cfg.bandwidths] for tx, ty in taus]
+    bandwidths = [[tuple(map(bw.at_tau, b.tau)) for bw in cfg.bandwidths] for b in blocks]
     replicate = partial(_power_replication, cfg, bandwidths)
     stats = _ordered_map(replicate, len(blocks) * cfg.reps, cfg.threads)
     # counts of booleans are exact, so the axis-1 mean keeps each rho's bits

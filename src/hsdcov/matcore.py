@@ -75,16 +75,19 @@ def cholesky(s) -> Matrix:
 def pairwise_sq_distances(x) -> Matrix:
     """n x n matrix of squared Euclidean distances between rows of ``x``.
 
-    Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows; negative
-    round-off is clamped to zero. The diagonal is exactly zero, and the result
-    is exactly symmetric: the Gram matrix is, and ``|a|^2 + |b|^2`` is one term.
+    Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows, negative
+    round-off clamped to zero; pairs below 1e-4 of the largest centred |a|^2,
+    where that cancels, are retaken from their input rows' difference. The
+    diagonal is exactly zero, and the result is exactly symmetric: the Gram
+    matrix is, ``|a|^2 + |b|^2`` is one term, and b - a is a - b negated.
     """
     m = as_matrix(x, "observations")
     if m.shape[0] < 1:
         raise ValueError("need at least one observation row")
-    m = m - m.mean(axis=0)
-    d = m @ m.T
+    c = m - m.mean(axis=0)
+    d = c @ c.T
     sq = np.diag(d).copy()
+    cut = 1e-4 * sq.max()
     # row blocks of 1 MiB: no n x n temporary, and each block stays in cache
     step = max(1, (1 << 17) // d.shape[0])
     for lo in range(0, d.shape[0], step):
@@ -92,5 +95,10 @@ def pairwise_sq_distances(x) -> Matrix:
         block *= -2.0
         block += sq[lo : lo + step, None] + sq
         np.maximum(block, 0.0, out=block)
+        np.fill_diagonal(block[:, lo:], np.inf)
+        if block.min() < cut:
+            i, j = np.nonzero(block < cut)
+            diff = m[lo + i] - m[j]
+            block[i, j] = np.einsum("ij,ij->i", diff, diff)
     np.fill_diagonal(d, 0.0)
     return d

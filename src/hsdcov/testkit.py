@@ -28,8 +28,8 @@ class TestResult:
     threshold: float
     reject: bool
     p_value: float
-    kernel_label: str
-    bandwidth_used: tuple[float, float]
+    kernel: str
+    bandwidth: tuple[float, float]
     degenerate: bool = False
 
 
@@ -61,7 +61,7 @@ def dcor_test(
         threshold=threshold,
         reject=abs(stat) > threshold,
         p_value=math.erfc(abs(stat) / math.sqrt(2.0)),  # no underflow in the tail
-        kernel_label=kx.kind if kx.kind == ky.kind else f"{kx.kind}/{ky.kind}",
-        bandwidth_used=parts.gamma,
+        kernel=kx.kind if kx.kind == ky.kind else f"{kx.kind}/{ky.kind}",
+        bandwidth=parts.gamma,
         degenerate=parts.degenerate,
     )

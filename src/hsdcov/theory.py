@@ -20,7 +20,7 @@ from .matcore import (
     cholesky,
     frobenius_norm_sq,
 )
-from .dcovstats import KernelSpec
+from .dcovstats import KernelSpec, _valid_gamma
 from .testkit import normal_cdf, normal_quantile
 
 
@@ -29,7 +29,8 @@ class DegenerateKernel(Exception):
 
 
 class DegenerateBlocks(Exception):
-    """A marginal covariance block has zero Frobenius norm or trace."""
+    """A marginal covariance block is zero (for a PSD block, a zero trace and
+    a zero Frobenius norm are the same thing)."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,11 @@ class CovarianceBlocks:
         ``NotPositiveDefinite`` for a singular covariance."""
         return cholesky(self.full())
 
+    @functools.cached_property
+    def tau(self) -> tuple[float, float]:
+        """Population (tau_x, tau_y) = (sqrt(tau_sq(S_x)), sqrt(tau_sq(S_y)))."""
+        return math.sqrt(tau_sq(self.sigma_x)), math.sqrt(tau_sq(self.sigma_y))
+
     def full(self) -> Matrix:
         top = np.hstack([self.sigma_x, self.sigma_xy])
         bottom = np.hstack([self.sigma_xy.T, self.sigma_y])
@@ -108,7 +114,7 @@ class TheoryReport:
     sigma1_sq: float
     sigma2_sq: float
     sigma_sq: float
-    local_a: float
+    A: float
     power: float
 
 
@@ -120,15 +126,20 @@ def tau_sq(sigma_half) -> float:
     return 2.0 * float(np.trace(m))
 
 
+def _marginal_tau_sq(sx, sy) -> tuple[float, float]:
+    """(tau_sq(S_x), tau_sq(S_y)); the one rule that both marginals are nonzero."""
+    tx_sq, ty_sq = tau_sq(sx), tau_sq(sy)
+    if tx_sq <= 0 or ty_sq <= 0:
+        raise DegenerateBlocks("marginal covariance blocks must be nonzero")
+    return tx_sq, ty_sq
+
+
 def mean_expansion(blocks: CovarianceBlocks) -> float:
     """Leading term of the distance covariance: |S_xy|_F^2 / (tau_x tau_y).
 
     The relative remainder is O(1/min(tau_x, tau_y)) and is not computed.
     """
-    tx_sq = tau_sq(blocks.sigma_x)
-    ty_sq = tau_sq(blocks.sigma_y)
-    if tx_sq <= 0 or ty_sq <= 0:
-        raise DegenerateBlocks("mean expansion requires positive traces")
+    tx_sq, ty_sq = _marginal_tau_sq(blocks.sigma_x, blocks.sigma_y)
     return frobenius_norm_sq(blocks.sigma_xy) / math.sqrt(tx_sq * ty_sq)
 
 
@@ -136,10 +147,7 @@ def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int) -> VariancePart
     if n < 2:
         raise ValueError(f"variance formula needs n >= 2, got {n}")
     syx = sxy.T
-    tx_sq = tau_sq(sx)
-    ty_sq = tau_sq(sy)
-    if tx_sq <= 0 or ty_sq <= 0:
-        raise DegenerateBlocks("variance formula requires positive traces")
+    tx_sq, ty_sq = _marginal_tau_sq(sx, sy)
     f2 = frobenius_norm_sq(sxy)
     # sigma1 = 4 Var(L) / (n tau_x^2 tau_y^2) for the quadratic form
     # L = X' S_xy Y - a |X|^2 - b |Y|^2 = Z' M Z of Z = (X, Y) ~ N(0, Sigma),
@@ -174,10 +182,9 @@ def sigma_bar_sq_marginal(sigma_x, n: int) -> VarianceParts:
 
 def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
     """Local shift parameter n |S_xy|_F^2 / (|S_x|_F |S_y|_F)."""
+    _marginal_tau_sq(blocks.sigma_x, blocks.sigma_y)
     fx = math.sqrt(frobenius_norm_sq(blocks.sigma_x))
     fy = math.sqrt(frobenius_norm_sq(blocks.sigma_y))
-    if fx <= 0 or fy <= 0:
-        raise DegenerateBlocks("local parameter requires nondegenerate marginals")
     return n * frobenius_norm_sq(blocks.sigma_xy) / (fx * fy)
 
 
@@ -188,14 +195,12 @@ def varrho(
 ) -> float:
     """Scaling factor relating kernelized and plain distance covariance:
     f_x'(tau_x/gamma_x) f_y'(tau_y/gamma_y) / (gamma_x gamma_y), with
-    ``tau`` the population pair (sqrt(tau_sq(S_x)), sqrt(tau_sq(S_y))).
+    ``tau`` the population pair ``CovarianceBlocks.tau``.
 
     Exact for the identity kernel; leading-order otherwise. Raises
     ``DegenerateKernel`` when a derivative magnitude falls below 1e-12.
     """
-    gx, gy = gamma
-    if not (gx > 0 and gy > 0):
-        raise ValueError("bandwidths must be positive")
+    gx, gy = map(_valid_gamma, gamma)
     rho_x, rho_y = tau[0] / gx, tau[1] / gy
     dx = float(kernels[0].f_prime(rho_x))
     dy = float(kernels[1].f_prime(rho_y))
@@ -331,6 +336,6 @@ def theory_report(
         sigma1_sq=parts.sigma1_sq,
         sigma2_sq=parts.sigma2_sq,
         sigma_sq=parts.total,
-        local_a=local_param_A(blocks, n),
+        A=local_param_A(blocks, n),
         power=theoretical_power(blocks, n, alpha),
     )

@@ -6,11 +6,11 @@ import pytest
 from hsdcov.dcovstats import (
     BandwidthSpec,
     DegenerateSample,
+    KernelSpec,
     PairedSample,
     SampleTooSmall,
     dcov_parts,
     dcov_star,
-    dcov_star_marginal,
     dcov_ustat_oracle,
     gaussian_kernel,
     hoeffding_sum,
@@ -117,10 +117,12 @@ class TestKernelMatrix:
         with pytest.raises(ValueError):
             kernel_matrix(np.zeros((3, 1)), gaussian_kernel(), 0.0)
 
-    def test_non_finite_kernel_values_rejected(self):
-        from hsdcov.dcovstats import custom_kernel
+    def test_infinite_gamma_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            kernel_matrix(np.array([[0.0], [1.0]]), identity_kernel(), math.inf)
 
-        blowup = custom_kernel(lambda w: np.full_like(w, np.inf), lambda w: 0.0)
+    def test_non_finite_kernel_values_rejected(self):
+        blowup = KernelSpec("custom", lambda w: np.full_like(w, np.inf), lambda w: 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             kernel_matrix(np.array([[0.0], [1.0]]), blowup, 1.0)
 
@@ -235,19 +237,24 @@ class TestDcovStar:
         assert dcov_star(permuted) == pytest.approx(dcov_star(sample), rel=1e-10)
 
 
+def marginal(x) -> float:
+    """dcov_star of a block with itself: a sum of squares, hence >= 0."""
+    return dcov_parts(PairedSample(x, x)).v_x
+
+
 class TestDcovStarMarginal:
     def test_constant_is_zero(self):
-        assert dcov_star_marginal(np.ones((5, 2))) == 0.0
+        assert marginal(np.ones((5, 2))) == 0.0
 
     def test_nonnegative(self):
         for seed in range(5):
             x = np.random.default_rng(seed).normal(size=(6, 3))
-            assert dcov_star_marginal(x) >= 0.0
+            assert marginal(x) >= 0.0
 
     def test_matches_direct_loops(self):
         x = np.random.default_rng(21).normal(size=(5, 1))
         expected = dcov_kernel_loops(x, x, lambda w: w, lambda w: w, 1.0, 1.0)
-        assert dcov_star_marginal(x) == pytest.approx(expected, rel=1e-12)
+        assert marginal(x) == pytest.approx(expected, rel=1e-12)
 
 
 def at_gamma(sample, kernels=(identity_kernel(), identity_kernel()), gamma=(1.0, 1.0)):

@@ -186,6 +186,8 @@ class TestRunClt:
             )
         with pytest.raises(ValueError):  # the scenario fixes n
             CltConfig(reps=4, seed=1, scenario=SimScenario(n=200, p=10, rho=0.3), n=50)
+        with pytest.raises(ValueError, match="unknown centering"):
+            small_clt_config(center="bogus")
 
     def test_rho_target_at_population_tau_is_fixed_gamma(self):
         blocks = CovarianceBlocks.identity_blocks(6, 4, 0.3)
@@ -215,8 +217,8 @@ class TestRunClt:
             run_clt(CltConfig(reps=4, seed=0, blocks=blocks, n=10, bandwidths=(rho, rho)))
 
     def test_population_tau_computed_once_per_run(self, monkeypatch):
-        # _tau_pair, mean_expansion and sigma_bar_sq take tau_sq of both
-        # blocks once each; the per-replication kernel scaling reuses the pair
+        # CovarianceBlocks.tau, mean_expansion and sigma_bar_sq take tau_sq of
+        # both blocks once each; the per-replication kernel scaling reuses the pair
         from hsdcov import experiments, theory
 
         calls = []
@@ -300,6 +302,14 @@ class TestRunPower:
     def test_empty_kernels_or_bandwidths_rejected(self, empty):
         with pytest.raises(ValueError, match="nonempty"):
             PowerConfig(n=20, p=2, rho_grid=(0.0,), **{empty: ()})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"reps": 0}, "replication"), ({"alpha": 1.5}, "alpha"), ({"rho_grid": ()}, "rho grid")],
+    )
+    def test_bad_run_settings_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            PowerConfig(**{"n": 20, "p": 2, "rho_grid": (0.0,), **bad})
 
     @pytest.mark.parametrize(
         "sizes", [{"n": 0}, {"p": 0}, {"rho_grid": (0.2, 1.0)}, {"rho_grid": (-0.1,)}]

@@ -118,6 +118,15 @@ class TestPairwiseSqDistances:
                 for k in range(n):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
+    def test_close_pair_taken_from_row_difference(self):
+        # the Gram expansion cancels to 0.0 here; the difference gives 3.0e-14
+        x = 10.0 * np.random.default_rng(4).normal(size=(12, 3))
+        x[7] = x[3] + 1e-7
+        d = pairwise_sq_distances(x)
+        diff = x[3] - x[7]
+        assert d[3, 7] == float(np.einsum("i,i->", diff, diff)) > 0.0
+        assert np.array_equal(d, d.T)
+
     def test_nonnegative_under_roundoff(self):
         # nearly identical large-magnitude rows stress the expansion formula
         x = np.full((5, 6), 1e8)

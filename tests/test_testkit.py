@@ -148,8 +148,8 @@ class TestDcorTest:
             kernels=(gaussian_kernel(), gaussian_kernel()),
             bandwidths=(BandwidthSpec.median(), BandwidthSpec.median()),
         )
-        assert result.kernel_label == "gaussian"
-        assert all(b > 0 for b in result.bandwidth_used)
+        assert result.kernel == "gaussian"
+        assert all(b > 0 for b in result.bandwidth)
 
     def test_mixed_kernel_label(self):
         sample = seeded_sample(4, 8, 2, 2)
@@ -159,4 +159,4 @@ class TestDcorTest:
             kernels=(identity_kernel(), gaussian_kernel()),
             bandwidths=(BandwidthSpec.fixed(1.0), BandwidthSpec.fixed(2.0)),
         )
-        assert result.kernel_label == "identity/gaussian"
+        assert result.kernel == "identity/gaussian"

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hsdcov.dcovstats import gaussian_kernel, identity_kernel, laplace_kernel
+from hsdcov.dcovstats import KernelSpec, gaussian_kernel, identity_kernel, laplace_kernel
 from hsdcov.matcore import NotPositiveDefinite
 from hsdcov.theory import (
     CovarianceBlocks,
+    DegenerateBlocks,
     DegenerateKernel,
     local_param_A,
     mean_expansion,
@@ -206,6 +207,24 @@ class TestSigmaBarSqMarginal:
         )
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        mean_expansion,
+        lambda b: sigma_bar_sq(b, 50),
+        lambda b: sigma_bar_sq_marginal(b.sigma_x, 50),
+        lambda b: local_param_A(b, 50),
+        lambda b: theoretical_power(b, 50, 0.05),
+        lambda b: theory_report(b, 50),
+    ],
+    ids=["mean", "sigma", "sigma_marginal", "A", "power", "report"],
+)
+def test_zero_marginal_has_one_rule(formula):
+    blocks = CovarianceBlocks(np.zeros((3, 3)), np.zeros((3, 2)), np.eye(2))
+    with pytest.raises(DegenerateBlocks, match="^marginal covariance blocks must be nonzero$"):
+        formula(blocks)
+
+
 class TestLocalParam:
     def test_null(self):
         assert local_param_A(identity_case(4, 0.0), 100) == 0.0
@@ -240,10 +259,14 @@ class TestVarrho:
         got = varrho((laplace_kernel(), laplace_kernel()), (gamma, gamma), (gamma, gamma))
         assert got == pytest.approx(math.exp(-2.0) / gamma**2, rel=1e-12)
 
-    def test_degenerate_derivative(self):
-        from hsdcov.dcovstats import custom_kernel
+    @pytest.mark.parametrize("gamma", [(0.0, 1.0), (1.0, math.inf)])
+    def test_bandwidth_outside_open_interval_rejected(self, gamma):
+        ks = (identity_kernel(), identity_kernel())
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            varrho(ks, gamma, (1.0, 1.0))
 
-        flat = custom_kernel(lambda w: np.ones_like(w), lambda w: 0.0)
+    def test_degenerate_derivative(self):
+        flat = KernelSpec("custom", lambda w: np.ones_like(w), lambda w: 0.0)
         with pytest.raises(DegenerateKernel):
             varrho((flat, flat), (1.0, 1.0), (2.0, 2.0))
 
