@@ -23,7 +23,7 @@ from .dcovstats import BandwidthSpec, KernelSpec, dcov_parts, distance_matrix, i
 from .matcore import frobenius_norm_sq
 from .simgen import NoiseDist, SimScenario, derive_stream, sample_factor, sample_gaussian
 from .testkit import normal_cdf, normal_quantile
-from .theory import CovarianceBlocks, mean_expansion, sigma_bar_sq, tau_sq, theoretical_power, varrho
+from .theory import CovarianceBlocks, mean_expansion, sigma_bar_sq, theoretical_power, varrho
 
 QUANTILE_PROBS = tuple(round(0.01 * i, 2) for i in range(1, 100))
 
@@ -147,7 +147,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
         scalings = np.array([varrho(cfg.kernels, r.gamma, blocks.tau) for r in results])
         rescaled = values / scalings
         if cfg.standardize == "null":
-            tau_prod = math.sqrt(tau_sq(blocks.sigma_x) * tau_sq(blocks.sigma_y))
+            tau_prod = math.sqrt(blocks.tau_sq[0] * blocks.tau_sq[1])
             f2 = frobenius_norm_sq(blocks.sigma_xy)
             denom = math.sqrt(2.0) * math.sqrt(
                 frobenius_norm_sq(blocks.sigma_x) * frobenius_norm_sq(blocks.sigma_y)

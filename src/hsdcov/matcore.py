@@ -76,10 +76,11 @@ def pairwise_sq_distances(x) -> Matrix:
     """n x n matrix of squared Euclidean distances between rows of ``x``.
 
     Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows, negative
-    round-off clamped to zero; pairs below 1e-4 of the largest centred |a|^2,
-    where that cancels, are retaken from their input rows' difference. The
-    diagonal is exactly zero, and the result is exactly symmetric: the Gram
-    matrix is, ``|a|^2 + |b|^2`` is one term, and b - a is a - b negated.
+    round-off clamped to zero. Where that cancels, below 1e-4 of the largest
+    centred |a|^2, equal rows are set to zero and distinct rows are retaken
+    from the difference of their input rows. The diagonal is exactly zero, and
+    the result is exactly symmetric: the Gram matrix is, ``|a|^2 + |b|^2`` is
+    one term, and b - a is a - b negated.
     """
     m = as_matrix(x, "observations")
     if m.shape[0] < 1:
@@ -88,7 +89,8 @@ def pairwise_sq_distances(x) -> Matrix:
     d = c @ c.T
     sq = np.diag(d).copy()
     cut = 1e-4 * sq.max()
-    # row blocks of 1 MiB: no n x n temporary, and each block stays in cache
+    row_ids = None
+    # row blocks, and retakes, of 1 MiB: no n x n or n^2 x p temporary
     step = max(1, (1 << 17) // d.shape[0])
     for lo in range(0, d.shape[0], step):
         block = d[lo : lo + step]
@@ -97,8 +99,18 @@ def pairwise_sq_distances(x) -> Matrix:
         np.maximum(block, 0.0, out=block)
         np.fill_diagonal(block[:, lo:], np.inf)
         if block.min() < cut:
-            i, j = np.nonzero(block < cut)
-            diff = m[lo + i] - m[j]
-            block[i, j] = np.einsum("ij,ij->i", diff, diff)
+            if row_ids is None:
+                # byte-equal rows share an id: equal rows are set to 0, not retaken
+                rows = np.ascontiguousarray(m).view(np.dtype((np.void, 8 * m.shape[1])))
+                row_ids = np.unique(rows.ravel(), return_inverse=True)[1]
+            same = row_ids[lo : lo + step, None] == row_ids
+            np.putmask(block, same, 0.0)
+            # flat indices: twice as fast as a 2-d np.nonzero
+            i, j = np.divmod(np.flatnonzero((block < cut) & ~same), d.shape[0])
+            chunk = max(1, (1 << 17) // m.shape[1])
+            for s in range(0, i.size, chunk):
+                ii, jj = i[s : s + chunk], j[s : s + chunk]
+                diff = m[lo + ii] - m[jj]
+                block[ii, jj] = np.einsum("ij,ij->i", diff, diff)
     np.fill_diagonal(d, 0.0)
     return d

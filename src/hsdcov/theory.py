@@ -81,9 +81,14 @@ class CovarianceBlocks:
         return cholesky(self.full())
 
     @functools.cached_property
+    def tau_sq(self) -> tuple[float, float]:
+        """Population (tau_sq(S_x), tau_sq(S_y)), computed on first use and kept."""
+        return tau_sq(self.sigma_x), tau_sq(self.sigma_y)
+
+    @property
     def tau(self) -> tuple[float, float]:
-        """Population (tau_x, tau_y) = (sqrt(tau_sq(S_x)), sqrt(tau_sq(S_y)))."""
-        return math.sqrt(tau_sq(self.sigma_x)), math.sqrt(tau_sq(self.sigma_y))
+        """Population (tau_x, tau_y), the square roots of ``tau_sq``."""
+        return math.sqrt(self.tau_sq[0]), math.sqrt(self.tau_sq[1])
 
     def full(self) -> Matrix:
         top = np.hstack([self.sigma_x, self.sigma_xy])
@@ -126,12 +131,15 @@ def tau_sq(sigma_half) -> float:
     return 2.0 * float(np.trace(m))
 
 
-def _marginal_tau_sq(sx, sy) -> tuple[float, float]:
-    """(tau_sq(S_x), tau_sq(S_y)); the one rule that both marginals are nonzero."""
-    tx_sq, ty_sq = tau_sq(sx), tau_sq(sy)
-    if tx_sq <= 0 or ty_sq <= 0:
+def _nonzero_marginals(sx, sy, tau_sq_pair) -> tuple[float, float, float]:
+    """(tau_x^2, tau_y^2, |S_x|_F |S_y|_F) under the one rule that both
+    marginals are nonzero, checked on what the formulas divide by, which for
+    tiny blocks can underflow to 0 while the traces do not."""
+    tx_sq, ty_sq = tau_sq_pair
+    fx_fy = math.sqrt(frobenius_norm_sq(sx)) * math.sqrt(frobenius_norm_sq(sy))
+    if min(tx_sq, ty_sq) <= 0 or tx_sq * ty_sq == 0 or fx_fy == 0:
         raise DegenerateBlocks("marginal covariance blocks must be nonzero")
-    return tx_sq, ty_sq
+    return tx_sq, ty_sq, fx_fy
 
 
 def mean_expansion(blocks: CovarianceBlocks) -> float:
@@ -139,15 +147,15 @@ def mean_expansion(blocks: CovarianceBlocks) -> float:
 
     The relative remainder is O(1/min(tau_x, tau_y)) and is not computed.
     """
-    tx_sq, ty_sq = _marginal_tau_sq(blocks.sigma_x, blocks.sigma_y)
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
     return frobenius_norm_sq(blocks.sigma_xy) / math.sqrt(tx_sq * ty_sq)
 
 
-def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int) -> VarianceParts:
+def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int, tau_sq_pair) -> VarianceParts:
     if n < 2:
         raise ValueError(f"variance formula needs n >= 2, got {n}")
     syx = sxy.T
-    tx_sq, ty_sq = _marginal_tau_sq(sx, sy)
+    tx_sq, ty_sq, _ = _nonzero_marginals(sx, sy, tau_sq_pair)
     f2 = frobenius_norm_sq(sxy)
     # sigma1 = 4 Var(L) / (n tau_x^2 tau_y^2) for the quadratic form
     # L = X' S_xy Y - a |X|^2 - b |Y|^2 = Z' M Z of Z = (X, Y) ~ N(0, Sigma),
@@ -169,7 +177,7 @@ def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
     sigma1 is a positive multiple of the variance of a Gaussian quadratic
     form, so it is >= 0 for every valid covariance.
     """
-    return _variance_parts(blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y, n)
+    return _variance_parts(blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y, n, blocks.tau_sq)
 
 
 def sigma_bar_sq_marginal(sigma_x, n: int) -> VarianceParts:
@@ -177,15 +185,13 @@ def sigma_bar_sq_marginal(sigma_x, n: int) -> VarianceParts:
     S_x = S_y = S_xy = sigma_x. The blocks are not assembled, since
     [[S, S], [S, S]] is singular."""
     sx = check_symmetric(sigma_x, "sigma_x")
-    return _variance_parts(sx, sx, sx, n)
+    return _variance_parts(sx, sx, sx, n, (tau_sq(sx),) * 2)
 
 
 def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
     """Local shift parameter n |S_xy|_F^2 / (|S_x|_F |S_y|_F)."""
-    _marginal_tau_sq(blocks.sigma_x, blocks.sigma_y)
-    fx = math.sqrt(frobenius_norm_sq(blocks.sigma_x))
-    fy = math.sqrt(frobenius_norm_sq(blocks.sigma_y))
-    return n * frobenius_norm_sq(blocks.sigma_xy) / (fx * fy)
+    _, _, fx_fy = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    return n * frobenius_norm_sq(blocks.sigma_xy) / fx_fy
 
 
 def varrho(
@@ -330,8 +336,8 @@ def theory_report(
     """Assemble every closed-form prediction into one report."""
     parts = sigma_bar_sq(blocks, n)
     return TheoryReport(
-        tau_x_sq=tau_sq(blocks.sigma_x),
-        tau_y_sq=tau_sq(blocks.sigma_y),
+        tau_x_sq=blocks.tau_sq[0],
+        tau_y_sq=blocks.tau_sq[1],
         mean=mean_expansion(blocks),
         sigma1_sq=parts.sigma1_sq,
         sigma2_sq=parts.sigma2_sq,

@@ -217,9 +217,10 @@ class TestRunClt:
             run_clt(CltConfig(reps=4, seed=0, blocks=blocks, n=10, bandwidths=(rho, rho)))
 
     def test_population_tau_computed_once_per_run(self, monkeypatch):
-        # CovarianceBlocks.tau, mean_expansion and sigma_bar_sq take tau_sq of
-        # both blocks once each; the per-replication kernel scaling reuses the pair
-        from hsdcov import experiments, theory
+        # CovarianceBlocks.tau_sq takes tau_sq of both blocks once; the
+        # bandwidths, the per-replication kernel scaling, mean_expansion and
+        # sigma_bar_sq all reuse the pair
+        from hsdcov import theory
 
         calls = []
 
@@ -228,12 +229,11 @@ class TestRunClt:
             return inner(sigma)
 
         monkeypatch.setattr(theory, "tau_sq", counting_tau_sq)
-        monkeypatch.setattr(experiments, "tau_sq", counting_tau_sq)
         cfg = small_clt_config(
             reps=50, scenario=SimScenario(n=8, p=2, rho=0.3), standardize="theory"
         )
         run_clt(cfg)
-        assert len(calls) == 6
+        assert len(calls) == 2
 
 
 class TestRunPower:
@@ -304,18 +304,20 @@ class TestRunPower:
             PowerConfig(n=20, p=2, rho_grid=(0.0,), **{empty: ()})
 
     @pytest.mark.parametrize(
-        "bad, message",
-        [({"reps": 0}, "replication"), ({"alpha": 1.5}, "alpha"), ({"rho_grid": ()}, "rho grid")],
+        "sizes, message",
+        [
+            ({"n": 0}, None),
+            ({"p": 0}, None),
+            ({"rho_grid": (0.2, 1.0)}, None),
+            ({"rho_grid": (-0.1,)}, None),
+            ({"reps": 0}, "replication"),
+            ({"alpha": 1.5}, "alpha"),
+            ({"rho_grid": ()}, "rho grid"),
+        ],
+        ids=[*(f"sizes{i}" for i in range(4)), "reps", "alpha", "empty_rho_grid"],
     )
-    def test_bad_run_settings_rejected(self, bad, message):
+    def test_bad_sizes_rejected_up_front(self, sizes, message):
         with pytest.raises(ValueError, match=message):
-            PowerConfig(**{"n": 20, "p": 2, "rho_grid": (0.0,), **bad})
-
-    @pytest.mark.parametrize(
-        "sizes", [{"n": 0}, {"p": 0}, {"rho_grid": (0.2, 1.0)}, {"rho_grid": (-0.1,)}]
-    )
-    def test_bad_sizes_rejected_up_front(self, sizes):
-        with pytest.raises(ValueError):
             PowerConfig(**{"n": 20, "p": 2, "rho_grid": (0.0,), **sizes})
 
     def test_failure_reports_its_stream_index(self, monkeypatch):

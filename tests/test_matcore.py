@@ -127,6 +127,23 @@ class TestPairwiseSqDistances:
         assert d[3, 7] == float(np.einsum("i,i->", diff, diff)) > 0.0
         assert np.array_equal(d, d.T)
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6], ids=["tied", "close"])
+    @pytest.mark.parametrize("n, p", [(400, 3), (30, 2000)], ids=["two_blocks", "chunked"])
+    def test_crowded_rows_taken_from_row_differences(self, n, p, jitter):
+        # n - 1 equal or close rows and one outlier, so almost every pair is
+        # close: 400 rows span two row blocks, and 2000 columns make the
+        # retake run in chunks of 65 pairs
+        x = 1.0 + jitter * np.random.default_rng(5).normal(size=(n, p))
+        x[-1] = 10.0
+        d = pairwise_sq_distances(x)
+        i, j = np.divmod(np.arange((n - 1) ** 2), n - 1)
+        diff = x[i] - x[j]
+        exact = np.einsum("ij,ij->i", diff, diff).reshape(n - 1, n - 1)
+        assert np.array_equal(d[:-1, :-1], exact)
+        far = np.sum((x - x[-1]) ** 2, axis=1)
+        np.testing.assert_allclose(d[-1], far, rtol=1e-12)
+        assert np.array_equal(d, d.T)
+
     def test_nonnegative_under_roundoff(self):
         # nearly identical large-magnitude rows stress the expansion formula
         x = np.full((5, 6), 1e8)

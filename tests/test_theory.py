@@ -219,8 +219,10 @@ class TestSigmaBarSqMarginal:
     ],
     ids=["mean", "sigma", "sigma_marginal", "A", "power", "report"],
 )
-def test_zero_marginal_has_one_rule(formula):
-    blocks = CovarianceBlocks(np.zeros((3, 3)), np.zeros((3, 2)), np.eye(2))
+@pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "underflow"])
+def test_zero_marginal_has_one_rule(formula, scale):
+    # at 1e-170 the trace is positive, but |S_x|_F^2 underflows to 0
+    blocks = CovarianceBlocks(scale * np.eye(3), np.zeros((3, 2)), np.eye(2))
     with pytest.raises(DegenerateBlocks, match="^marginal covariance blocks must be nonzero$"):
         formula(blocks)
 
