@@ -12,13 +12,11 @@ from .dcovstats import (
     dcov_star,
     dcov_ustat_oracle,
     gaussian_kernel,
-    hoeffding_sum,
     identity_kernel,
     kernel_by_name,
     kernel_matrix,
     laplace_kernel,
     resolve_bandwidth,
-    tbar_fluctuation,
     u_center,
 )
 from .experiments import (
@@ -50,12 +48,14 @@ from .theory import (
     CovarianceBlocks,
     DegenerateKernel,
     TheoryReport,
+    hoeffding_sum,
     local_param_A,
     mean_expansion,
     minimax_eigencheck,
     sigma_bar_sq,
     sigma_bar_sq_marginal,
     tau_sq,
+    tbar_fluctuation,
     theoretical_power,
     theory_report,
     varrho,

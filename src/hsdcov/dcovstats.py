@@ -1,6 +1,6 @@
 """Sample-level statistics: kernelized distance matrices, U-centering,
-bias-corrected (kernel) distance covariance and correlation, the brute-force
-U-statistic oracle, and the truncated-statistic cross-check pair."""
+bias-corrected (kernel) distance covariance and correlation, alone or over a
+kernel x bandwidth grid, and the brute-force U-statistic oracle."""
 
 from __future__ import annotations
 
@@ -294,19 +294,37 @@ class DcovParts(NamedTuple):
         return self.n * self.correlation() / math.sqrt(2.0)
 
 
+def _parts(n: int, bx, by) -> DcovParts:
+    parts = _u_inner(bx, by), _u_inner(bx, bx, 8.0), _u_inner(by, by, 8.0)
+    return DcovParts(*parts, (bx[2], by[2]), n)
+
+
 def dcov_parts(
     sample: PairedSample,
     kernels: tuple[KernelSpec, KernelSpec] = (identity_kernel(), identity_kernel()),
     bandwidths: tuple[BandwidthSpec, BandwidthSpec] = (BandwidthSpec.fixed(1.0),) * 2,
-    dists=None,
 ) -> DcovParts:
     """The statistic core. Each block's distance matrix is built once from
-    column-centred data (or read from ``dists``), its bandwidth resolved from
-    it and the kernel applied in place; v_xy, v_x and v_y then take row sums
-    and one ``einsum`` each."""
-    bx, by = map(_kernel_block, (sample.x, sample.y), kernels, bandwidths, dists or (None, None))
-    parts = _u_inner(bx, by), _u_inner(bx, bx, 8.0), _u_inner(by, by, 8.0)
-    return DcovParts(*parts, (bx[2], by[2]), sample.n)
+    column-centred data, its bandwidth resolved from it and the kernel applied
+    in place; v_xy, v_x and v_y then take row sums and one ``einsum`` each."""
+    return _parts(sample.n, *map(_kernel_block, (sample.x, sample.y), kernels, bandwidths))
+
+
+def studentized_grid(sample: PairedSample, kernels, bandwidth_pairs) -> list[float]:
+    """Studentized statistics of one sample in every (kernel, bandwidth pair)
+    cell, kernel-major, each kernel on both blocks. Both distance matrices are
+    built once, so the cells are paired; the identity kernel's statistic does
+    not depend on the bandwidth and is computed once, at the first pair."""
+    dists = distance_matrix(sample.x), distance_matrix(sample.y)
+    stats = []
+    for kernel in kernels:
+        stat = None
+        for pair in bandwidth_pairs:
+            if stat is None or kernel.kind != "identity":
+                blocks = map(_kernel_block, (sample.x, sample.y), (kernel, kernel), pair, dists)
+                stat = _parts(sample.n, *blocks).studentized()
+            stats.append(stat)
+    return stats
 
 
 def dcov_star(sample: PairedSample) -> float:
@@ -337,81 +355,3 @@ def dcov_ustat_oracle(sample: PairedSample) -> float:
             )
         total += acc / 24.0
     return total / math.comb(n, 4)
-
-
-def _check_blocks_shape(sample: PairedSample, blocks) -> None:
-    p, q = sample.x.shape[1], sample.y.shape[1]
-    if blocks.p != p or blocks.q != q:
-        raise ValueError(
-            f"covariance blocks are ({blocks.p},{blocks.q}) "
-            f"but data is ({p},{q})"
-        )
-
-
-def tbar_fluctuation(sample: PairedSample, blocks) -> float:
-    """Fluctuation of the truncated statistic around its constant term,
-    computed through the three aggregate sums of its closed-form
-    representation (ordered distinct pairs throughout):
-
-        psi1 = sum_{i != j} (X_i'X_j Y_i'Y_j - |S_xy|_F^2)
-        psi2 = sum_{i != j} (X_i'S_xy Y_j + X_j'S_xy Y_i)
-        psi3 = sum_i [ (|S_xy|_F^2/tau_x^2)(|X_i|^2 - tr S_x)
-                     + (|S_xy|_F^2/tau_y^2)(|Y_i|^2 - tr S_y) ]
-
-    returning (psi1 - psi2)/(tau_x tau_y 2 C(n,2)) - psi3/(tau_x tau_y n).
-    Agrees with ``hoeffding_sum`` exactly.
-    """
-    _check_blocks_shape(sample, blocks)
-    x, y = sample.x, sample.y
-    n = sample.n
-    if n < 2:
-        raise SampleTooSmall("tbar_fluctuation needs n >= 2")
-    sxy = blocks.sigma_xy
-    f2 = float(np.sum(sxy * sxy))
-    tau_x_sq = 2.0 * float(np.trace(blocks.sigma_x))
-    tau_y_sq = 2.0 * float(np.trace(blocks.sigma_y))
-    tau_prod = math.sqrt(tau_x_sq * tau_y_sq)
-
-    cross = (x @ x.T) * (y @ y.T)
-    psi1 = float(cross.sum() - np.trace(cross)) - n * (n - 1) * f2
-
-    g = x @ sxy
-    diag_gy = np.einsum("ij,ij->i", g, y)
-    psi2 = 2.0 * (float(g.sum(axis=0) @ y.sum(axis=0)) - float(diag_gy.sum()))
-
-    dev_x = np.sum(x * x, axis=1) - float(np.trace(blocks.sigma_x))
-    dev_y = np.sum(y * y, axis=1) - float(np.trace(blocks.sigma_y))
-    psi3 = f2 / tau_x_sq * float(dev_x.sum()) + f2 / tau_y_sq * float(dev_y.sum())
-
-    return (psi1 - psi2) / (tau_prod * n * (n - 1)) - psi3 / (tau_prod * n)
-
-
-def hoeffding_sum(sample: PairedSample, blocks) -> float:
-    """Same fluctuation via the first- and second-order main-term kernels:
-    4 U_n(g1) + 6 U_n(g2), with the unknown constant term dropped
-    symmetrically with ``tbar_fluctuation``."""
-    _check_blocks_shape(sample, blocks)
-    x, y, n = sample.x, sample.y, sample.n
-    if n < 2:
-        raise SampleTooSmall("hoeffding_sum needs n >= 2")
-    sxy = blocks.sigma_xy
-    f2 = float(np.sum(sxy * sxy))
-    tr_x, tr_y = float(np.trace(blocks.sigma_x)), float(np.trace(blocks.sigma_y))
-    tau_x_sq, tau_y_sq = 2.0 * tr_x, 2.0 * tr_y
-    tau_prod = math.sqrt(tau_x_sq * tau_y_sq)
-
-    d = np.einsum("ij,ij->i", x @ sxy, y)  # d_i = X_i' S_xy Y_i
-    sq_x, sq_y = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
-    g1 = (
-        d - f2 - f2 / (2.0 * tau_x_sq) * (sq_x - tr_x) - f2 / (2.0 * tau_y_sq) * (sq_y - tr_y)
-    ) / (2.0 * tau_prod)
-
-    # g2 summed over pairs i != j through row sums and the p x q product X'Y:
-    # sum X_i'X_j Y_i'Y_j = |X'Y|_F^2 - sum |X_i|^2 |Y_i|^2 and
-    # sum X_i'S_xy Y_j = (1'X) S_xy (Y'1) - sum d_i
-    xty = x.T @ y
-    cross = float(np.sum(xty * xty)) - float(sq_x @ sq_y)
-    e = float(x.sum(axis=0) @ sxy @ y.sum(axis=0)) - float(d.sum())
-    u2 = ((cross - 2.0 * e) / (n * (n - 1)) - 2.0 * float(d.mean()) + f2) / (6.0 * tau_prod)
-
-    return 4.0 * float(g1.mean()) + 6.0 * u2

@@ -19,11 +19,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dcovstats import BandwidthSpec, KernelSpec, dcov_parts, distance_matrix, identity_kernel
-from .matcore import frobenius_norm_sq
+from .dcovstats import BandwidthSpec, KernelSpec, dcov_parts, identity_kernel, studentized_grid
 from .simgen import NoiseDist, SimScenario, derive_stream, sample_factor, sample_gaussian
 from .testkit import normal_cdf, normal_quantile
-from .theory import CovarianceBlocks, mean_expansion, sigma_bar_sq, theoretical_power, varrho
+from .theory import (
+    CovarianceBlocks,
+    mean_expansion,
+    null_standardized,
+    sigma_bar_sq,
+    theoretical_power,
+    varrho,
+)
 
 QUANTILE_PROBS = tuple(round(0.01 * i, 2) for i in range(1, 100))
 
@@ -82,11 +88,10 @@ class CltConfig:
     """One CLT verification run.
 
     Data comes from either a factor-model scenario or explicit Gaussian
-    blocks with a sample size. Standardization modes: ``theory`` divides the
-    kernel statistic by the kernel scaling and standardizes with the
-    closed-form mean/variance; ``null`` applies the local standardization
-    n (tau_x tau_y v - |S_xy|_F^2) / (sqrt(2) |S_x|_F |S_y|_F); ``empirical``
-    centers and scales by the replication sample mean and SD.
+    blocks with a sample size. Standardization modes: ``theory`` and ``null``
+    divide the kernel statistic by the kernel scaling, then standardize with
+    the closed-form mean/variance or ``theory.null_standardized``;
+    ``empirical`` centers and scales by the replication sample mean and SD.
     """
 
     reps: int
@@ -147,12 +152,7 @@ def run_clt(cfg: CltConfig) -> CltResult:
         scalings = np.array([varrho(cfg.kernels, r.gamma, blocks.tau) for r in results])
         rescaled = values / scalings
         if cfg.standardize == "null":
-            tau_prod = math.sqrt(blocks.tau_sq[0] * blocks.tau_sq[1])
-            f2 = frobenius_norm_sq(blocks.sigma_xy)
-            denom = math.sqrt(2.0) * math.sqrt(
-                frobenius_norm_sq(blocks.sigma_x) * frobenius_norm_sq(blocks.sigma_y)
-            )
-            standardized = n * (tau_prod * rescaled - f2) / denom
+            standardized = null_standardized(blocks, n, rescaled)
         else:
             centre = (
                 mean_expansion(blocks)
@@ -223,22 +223,10 @@ class PowerResult:
 
 def _power_replication(cfg: PowerConfig, bandwidths: list, index: int) -> list[float]:
     """Studentized statistics of dataset ``index`` (rho number index // reps)
-    in every (kernel, bandwidth) cell, sharing the distance matrices so
-    universality comparisons are paired. The identity kernel's statistic does
-    not depend on the bandwidth and is computed once."""
+    in every (kernel, bandwidth) cell, paired on one sample."""
     r_idx = index // cfg.reps
     sample = sample_factor(cfg.scenarios[r_idx], derive_stream(cfg.seed, index))
-    dists = (distance_matrix(sample.x), distance_matrix(sample.y))
-
-    stats = []
-    for kernel in cfg.kernels:
-        stat = None
-        for pair in bandwidths[r_idx]:
-            if stat is None or kernel.kind != "identity":
-                parts = dcov_parts(sample, (kernel, kernel), pair, dists)
-                stat = parts.studentized()
-            stats.append(stat)
-    return stats
+    return studentized_grid(sample, cfg.kernels, bandwidths[r_idx])
 
 
 def run_power(cfg: PowerConfig) -> PowerResult:

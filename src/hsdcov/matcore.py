@@ -75,12 +75,12 @@ def cholesky(s) -> Matrix:
 def pairwise_sq_distances(x) -> Matrix:
     """n x n matrix of squared Euclidean distances between rows of ``x``.
 
-    Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows, negative
-    round-off clamped to zero. Where that cancels, below 1e-4 of the largest
-    centred |a|^2, equal rows are set to zero and distinct rows are retaken
-    from the difference of their input rows. The diagonal is exactly zero, and
-    the result is exactly symmetric: the Gram matrix is, ``|a|^2 + |b|^2`` is
-    one term, and b - a is a - b negated.
+    Computed via ``|a|^2 + |b|^2 - 2 a.b`` on column-centred rows. Where that
+    cancels, below 1e-4 of the largest centred |a|^2 (the only place it can go
+    negative), round-off is clamped to zero, equal rows are set to zero and
+    distinct rows are retaken from the difference of their input rows. The
+    diagonal is exactly zero, and the result is exactly symmetric: the Gram
+    matrix is, ``|a|^2 + |b|^2`` is one term, and b - a is a - b negated.
     """
     m = as_matrix(x, "observations")
     if m.shape[0] < 1:
@@ -96,9 +96,9 @@ def pairwise_sq_distances(x) -> Matrix:
         block = d[lo : lo + step]
         block *= -2.0
         block += sq[lo : lo + step, None] + sq
-        np.maximum(block, 0.0, out=block)
         np.fill_diagonal(block[:, lo:], np.inf)
         if block.min() < cut:
+            np.maximum(block, 0.0, out=block)
             if row_ids is None:
                 # byte-equal rows share an id: equal rows are set to 0, not retaken
                 rows = np.ascontiguousarray(m).view(np.dtype((np.void, 8 * m.shape[1])))

@@ -1,7 +1,8 @@
 """Closed-form population quantities for jointly Gaussian blocks: mean and
 variance expansions of the sample distance covariance, the local shift
-parameter driving test power, kernel scaling factors, theoretical power, and
-the rank-four perturbation eigenvalue identity used by the minimax prior."""
+parameter driving test power and the null standardization, kernel scaling
+factors, theoretical power, the truncated statistic's fluctuation in two
+independent forms, and the minimax prior's rank-four eigenvalue identity."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .matcore import (
     cholesky,
     frobenius_norm_sq,
 )
-from .dcovstats import KernelSpec, _valid_gamma
+from .dcovstats import KernelSpec, PairedSample, SampleTooSmall, _valid_gamma
 from .testkit import normal_cdf, normal_quantile
 
 
@@ -192,6 +193,83 @@ def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
     """Local shift parameter n |S_xy|_F^2 / (|S_x|_F |S_y|_F)."""
     _, _, fx_fy = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
     return n * frobenius_norm_sq(blocks.sigma_xy) / fx_fy
+
+
+def null_standardized(blocks: CovarianceBlocks, n: int, rescaled):
+    """n (tau_x tau_y v - |S_xy|_F^2) / (sqrt 2 |S_x|_F |S_y|_F) for statistics
+    v already divided by their kernel scaling; tau_x tau_y and |S_x|_F |S_y|_F
+    are each the square root of a product of squares."""
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    fx_fy = math.sqrt(frobenius_norm_sq(blocks.sigma_x) * frobenius_norm_sq(blocks.sigma_y))
+    f2 = frobenius_norm_sq(blocks.sigma_xy)
+    return n * (math.sqrt(tx_sq * ty_sq) * rescaled - f2) / (math.sqrt(2.0) * fx_fy)
+
+
+def _fluctuation_setup(name: str, sample: PairedSample, blocks: CovarianceBlocks):
+    """(|S_xy|_F^2, tau_x^2, tau_y^2, tau_x tau_y) once the sample matches the
+    blocks, n >= 2 and both marginals are nonzero; tr S is then tau^2 / 2."""
+    p, q = sample.x.shape[1], sample.y.shape[1]
+    if blocks.p != p or blocks.q != q:
+        raise ValueError(f"covariance blocks are ({blocks.p},{blocks.q}) but data is ({p},{q})")
+    if sample.n < 2:
+        raise SampleTooSmall(f"{name} needs n >= 2")
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    return frobenius_norm_sq(blocks.sigma_xy), tx_sq, ty_sq, math.sqrt(tx_sq * ty_sq)
+
+
+def tbar_fluctuation(sample: PairedSample, blocks: CovarianceBlocks) -> float:
+    """Fluctuation of the truncated statistic around its constant term,
+    computed through the three aggregate sums of its closed-form
+    representation (ordered distinct pairs throughout):
+
+        psi1 = sum_{i != j} (X_i'X_j Y_i'Y_j - |S_xy|_F^2)
+        psi2 = sum_{i != j} (X_i'S_xy Y_j + X_j'S_xy Y_i)
+        psi3 = sum_i [ (|S_xy|_F^2/tau_x^2)(|X_i|^2 - tr S_x)
+                     + (|S_xy|_F^2/tau_y^2)(|Y_i|^2 - tr S_y) ]
+
+    returning (psi1 - psi2)/(tau_x tau_y 2 C(n,2)) - psi3/(tau_x tau_y n).
+    Agrees with ``hoeffding_sum`` exactly.
+    """
+    f2, tau_x_sq, tau_y_sq, tau_prod = _fluctuation_setup("tbar_fluctuation", sample, blocks)
+    x, y, n = sample.x, sample.y, sample.n
+
+    cross = (x @ x.T) * (y @ y.T)
+    psi1 = float(cross.sum() - np.trace(cross)) - n * (n - 1) * f2
+
+    g = x @ blocks.sigma_xy
+    diag_gy = np.einsum("ij,ij->i", g, y)
+    psi2 = 2.0 * (float(g.sum(axis=0) @ y.sum(axis=0)) - float(diag_gy.sum()))
+
+    dev_x = np.sum(x * x, axis=1) - tau_x_sq / 2.0
+    dev_y = np.sum(y * y, axis=1) - tau_y_sq / 2.0
+    psi3 = f2 / tau_x_sq * float(dev_x.sum()) + f2 / tau_y_sq * float(dev_y.sum())
+
+    return (psi1 - psi2) / (tau_prod * n * (n - 1)) - psi3 / (tau_prod * n)
+
+
+def hoeffding_sum(sample: PairedSample, blocks: CovarianceBlocks) -> float:
+    """Same fluctuation via the first- and second-order main-term kernels:
+    4 U_n(g1) + 6 U_n(g2), with the unknown constant term dropped
+    symmetrically with ``tbar_fluctuation``."""
+    f2, tau_x_sq, tau_y_sq, tau_prod = _fluctuation_setup("hoeffding_sum", sample, blocks)
+    x, y, n, sxy = sample.x, sample.y, sample.n, blocks.sigma_xy
+    tr_x, tr_y = tau_x_sq / 2.0, tau_y_sq / 2.0
+
+    d = np.einsum("ij,ij->i", x @ sxy, y)  # d_i = X_i' S_xy Y_i
+    sq_x, sq_y = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
+    g1 = (
+        d - f2 - f2 / (2.0 * tau_x_sq) * (sq_x - tr_x) - f2 / (2.0 * tau_y_sq) * (sq_y - tr_y)
+    ) / (2.0 * tau_prod)
+
+    # g2 summed over pairs i != j through row sums and the p x q product X'Y:
+    # sum X_i'X_j Y_i'Y_j = |X'Y|_F^2 - sum |X_i|^2 |Y_i|^2 and
+    # sum X_i'S_xy Y_j = (1'X) S_xy (Y'1) - sum d_i
+    xty = x.T @ y
+    cross = float(np.sum(xty * xty)) - float(sq_x @ sq_y)
+    e = float(x.sum(axis=0) @ sxy @ y.sum(axis=0)) - float(d.sum())
+    u2 = ((cross - 2.0 * e) / (n * (n - 1)) - 2.0 * float(d.mean()) + f2) / (6.0 * tau_prod)
+
+    return 4.0 * float(g1.mean()) + 6.0 * u2
 
 
 def varrho(

@@ -18,19 +18,19 @@ from hsdcov.dcovstats import (
     dcov_star,
     dcov_ustat_oracle,
     gaussian_kernel,
-    hoeffding_sum,
     identity_kernel,
     laplace_kernel,
-    tbar_fluctuation,
     u_center,
 )
 from hsdcov.experiments import CltConfig, PowerConfig, run_clt, run_power
 from hsdcov.simgen import NoiseDist, SimScenario, derive_stream, sample_factor
 from hsdcov.theory import (
     CovarianceBlocks,
+    hoeffding_sum,
     mean_expansion,
     minimax_eigencheck,
     sigma_bar_sq,
+    tbar_fluctuation,
     theoretical_power,
 )
 

@@ -453,10 +453,18 @@ class TestExitCodes:
               "--bandwidth", "rho:1e-320"], 3),
             (["clt", "--n", "20", "--p", "4", "--kernel", "gaussian",
               "--bandwidth", "rho:1e-320", "--reps", "2"], 3),
+            (["--config", "{d}/list.json", "theory", "--p", "3", "--rho-xy", "0.1"], 2),
+            (["test"], 2),
+            (["theory", "--sigma-x", "{d}/x.csv"], 2),
+            # x.csv is 5 x 1, not 2 rows of 3 signs
+            (["eigencheck", "--p", "3", "--q", "3",
+              "--u-signs", "{d}/x.csv", "--v-signs", "{d}/x.csv"], 2),
+            (["eigencheck", "--u-signs", "{d}/x.csv"], 2),
         ],
     )
     def test_exit_code(self, argv, code, tmp_path, capsys):
         write_csv(tmp_path / "x.csv", [[1.0], [2.0], [4.0], [3.0], [5.0]])
+        (tmp_path / "list.json").write_text("[]")
         assert main([a.format(d=tmp_path) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith("hsdcov: error: ")

@@ -29,6 +29,7 @@ from hsdcov.dcovstats import (
     kernel_matrix,
     pairwise_distance_median,
     resolve_bandwidth,
+    studentized_grid,
     u_center,
 )
 from hsdcov.experiments import CltConfig, PowerConfig, ReplicationError, run_clt, run_power
@@ -326,3 +327,17 @@ def test_power_rates_match_dcor_test():
         )
     want = np.mean(np.asarray(flags, dtype=float), axis=0)
     assert [c.empirical_power for c in run_power(cfg).cells] == want.tolist()
+
+
+def test_grid_is_the_core_cell_by_cell():
+    # kernel-major cells, bit for bit; the identity kernel's cells all repeat
+    # its first pair's statistic
+    sample = dependent_sample(11, 30)
+    kernels = tuple(kernel_by_name(k) for k in KERNELS)
+    pairs = [(spec, spec) for spec in POLICIES]
+    want = [
+        dcov_parts(sample, (k, k), pairs[0 if k.kind == "identity" else j]).studentized()
+        for k in kernels
+        for j in range(len(pairs))
+    ]
+    assert studentized_grid(sample, kernels, pairs) == want

@@ -13,16 +13,14 @@ from hsdcov.dcovstats import (
     dcov_star,
     dcov_ustat_oracle,
     gaussian_kernel,
-    hoeffding_sum,
     identity_kernel,
     kernel_by_name,
     kernel_matrix,
     laplace_kernel,
     resolve_bandwidth,
-    tbar_fluctuation,
     u_center,
 )
-from hsdcov.theory import CovarianceBlocks
+from hsdcov.theory import CovarianceBlocks, hoeffding_sum, tbar_fluctuation
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +123,10 @@ class TestKernelMatrix:
         blowup = KernelSpec("custom", lambda w: np.full_like(w, np.inf), lambda w: 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             kernel_matrix(np.array([[0.0], [1.0]]), blowup, 1.0)
+        # the statistic core checks its own kernel blocks
+        sample = PairedSample(np.arange(5.0)[:, None], np.arange(5.0)[:, None])
+        with pytest.raises(ValueError, match="^custom kernel produced non-finite values$"):
+            dcov_parts(sample, (blowup, blowup))
 
     def test_kernel_by_name(self):
         assert kernel_by_name("gaussian").kind == "gaussian"

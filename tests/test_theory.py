@@ -3,18 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from hsdcov.dcovstats import KernelSpec, gaussian_kernel, identity_kernel, laplace_kernel
+from hsdcov.dcovstats import (
+    KernelSpec,
+    PairedSample,
+    gaussian_kernel,
+    identity_kernel,
+    laplace_kernel,
+)
 from hsdcov.matcore import NotPositiveDefinite
 from hsdcov.theory import (
     CovarianceBlocks,
     DegenerateBlocks,
     DegenerateKernel,
+    hoeffding_sum,
     local_param_A,
     mean_expansion,
     minimax_eigencheck,
+    null_standardized,
     sigma_bar_sq,
     sigma_bar_sq_marginal,
     tau_sq,
+    tbar_fluctuation,
     theoretical_power,
     theory_report,
     varrho,
@@ -207,6 +216,10 @@ class TestSigmaBarSqMarginal:
         )
 
 
+# a 6 x 3 / 6 x 2 sample matching the blocks below
+FLUCTUATION_SAMPLE = PairedSample(np.arange(18.0).reshape(6, 3), np.arange(12.0).reshape(6, 2))
+
+
 @pytest.mark.parametrize(
     "formula",
     [
@@ -216,8 +229,11 @@ class TestSigmaBarSqMarginal:
         lambda b: local_param_A(b, 50),
         lambda b: theoretical_power(b, 50, 0.05),
         lambda b: theory_report(b, 50),
+        lambda b: tbar_fluctuation(FLUCTUATION_SAMPLE, b),
+        lambda b: hoeffding_sum(FLUCTUATION_SAMPLE, b),
+        lambda b: null_standardized(b, 50, np.ones(4)),
     ],
-    ids=["mean", "sigma", "sigma_marginal", "A", "power", "report"],
+    ids=["mean", "sigma", "sigma_marginal", "A", "power", "report", "tbar", "hoeffding", "null"],
 )
 @pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "underflow"])
 def test_zero_marginal_has_one_rule(formula, scale):
