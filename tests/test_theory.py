@@ -6,6 +6,7 @@ import pytest
 from hsdcov.dcovstats import (
     KernelSpec,
     PairedSample,
+    SampleTooSmall,
     gaussian_kernel,
     identity_kernel,
     laplace_kernel,
@@ -243,6 +244,26 @@ def test_zero_marginal_has_one_rule(formula, scale):
         formula(blocks)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_null_standardized_is_scale_free(scale):
+    # |S_x|_F^2 |S_y|_F^2 is 9e-400 or 9e400 here, out of double range
+    def standardized(c):
+        blocks = CovarianceBlocks(c * np.eye(3), 0.2 * c * np.eye(3), c * np.eye(3))
+        return null_standardized(blocks, 50, c * np.array([1.0, 0.3]))
+
+    np.testing.assert_allclose(standardized(scale), standardized(1.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [sigma_bar_sq, lambda b, n: sigma_bar_sq_marginal(b.sigma_x, n), theory_report],
+    ids=["sigma", "sigma_marginal", "report"],
+)
+def test_variance_needs_two_observations(formula):
+    with pytest.raises(SampleTooSmall, match="^variance formula needs n >= 2, got 1$"):
+        formula(identity_case(3, 0.2), 1)
+
+
 class TestLocalParam:
     def test_null(self):
         assert local_param_A(identity_case(4, 0.0), 100) == 0.0
@@ -409,6 +430,68 @@ class TestMinimaxEigencheck:
             a,
         )
         assert report.max_identity_error <= 1e-8
+
+    def test_identical_planes(self):
+        # <u1,u2> = <v1,v2> = 0 makes the two planes the same 2x2 piece, so
+        # each eigenvalue is double and every pairing has a tie
+        s = (np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, -1.0, -1.0]))
+        t = (np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+        report = minimax_eigencheck(s, t, 3.5 / 32)
+        np.testing.assert_allclose(report.lambda_values, [-7 / 15] * 2 + [7.0] * 2, rtol=1e-12)
+        assert report.max_identity_error <= 1e-12
+
+    def test_near_singular_scale(self):
+        # round-off lifts trivial eigenvalues above the cut; the four largest
+        # still pair
+        rng = np.random.default_rng(5)
+        p = q = 6
+        u = (rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], p))
+        v = (rng.choice([-1.0, 1.0], q), rng.choice([-1.0, 1.0], q))
+        report = minimax_eigencheck(u, v, (1 - 1e-12) / (p * q))
+        assert report.nontrivial_eigencount > 4
+        assert math.isfinite(report.max_identity_error)
+
+    def test_round_off_zero_pairs_as_zero(self, monkeypatch):
+        # t2 = t1 collapses one plane, and near |a| p q = 1 the largest
+        # eigenvalue is about 1e8, so eps times it passes the 1e-8 cut
+        args = (
+            (np.ones(8), np.array([1.0, 1, -1, -1, -1, -1, -1, -1])),
+            (np.ones(1), np.ones(1)),
+            (1 - 1e-8) / 8,
+        )
+        eigvalsh = np.linalg.eigvalsh
+
+        def trivial_at(lift):
+            def patched(m):
+                w = eigvalsh(m)
+                w[np.abs(w) < 1e-3] = 0.0
+                w[np.argmin(np.abs(w))] = lift * np.abs(w).max()
+                return w
+
+            return patched
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", trivial_at(0.0))
+        exact = minimax_eigencheck(*args)
+        monkeypatch.setattr(np.linalg, "eigvalsh", trivial_at(np.finfo(float).eps))
+        lifted = minimax_eigencheck(*args)
+        assert lifted.nontrivial_eigencount == exact.nontrivial_eigencount + 1 == 4
+        assert lifted.max_identity_error == exact.max_identity_error
+
+    def test_wrong_spectrum_is_caught(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(m):
+            w = eigvalsh(m)
+            w[np.argmax(w)] += 1e-6
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        rng = np.random.default_rng(3)
+        p = q = 6
+        u = (rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], p))
+        v = (rng.choice([-1.0, 1.0], q), rng.choice([-1.0, 1.0], q))
+        report = minimax_eigencheck(u, v, 1.0 / (4 * p * q))
+        assert report.max_identity_error >= 1e-7
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
