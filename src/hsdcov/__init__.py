@@ -53,7 +53,6 @@ from .theory import (
     mean_expansion,
     minimax_eigencheck,
     sigma_bar_sq,
-    sigma_bar_sq_marginal,
     tau_sq,
     tbar_fluctuation,
     theoretical_power,

@@ -39,7 +39,9 @@ class CovarianceBlocks:
     """Population covariance split into marginal blocks and the cross block.
 
     The assembled [[S_x, S_xy], [S_yx, S_y]] must be symmetric and positive
-    semidefinite (checked through a Cholesky of the matrix plus 1e-10 I).
+    semidefinite, checked through a Cholesky of the matrix plus a ridge of
+    (p + q) 1e-10 max|S|: singular designs pass at every scale, and one with
+    lambda_min <= -1e-3 lambda_max fails.
     """
 
     sigma_x: Matrix
@@ -59,8 +61,10 @@ class CovarianceBlocks:
         object.__setattr__(self, "sigma_xy", sxy)
         object.__setattr__(self, "sigma_y", sy)
         full = self.full()
+        ridge = len(full) * 1e-10 * np.abs(full).max(initial=0.0)
         try:
-            cholesky(full + 1e-10 * np.eye(full.shape[0]))
+            if ridge > 0:  # else every |S|_F^2 is 0, which the formulas reject
+                cholesky(full + ridge * np.eye(len(full)))
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"assembled covariance is not positive semidefinite: {exc}"
@@ -132,15 +136,15 @@ def tau_sq(sigma_half) -> float:
     return 2.0 * float(np.trace(m))
 
 
-def _nonzero_marginals(sx, sy, tau_sq_pair) -> tuple[float, float, float]:
+def _nonzero_marginals(blocks: CovarianceBlocks) -> tuple[float, float, float]:
     """(tau_x^2, tau_y^2, |S_x|_F |S_y|_F) under the one rule that both
     marginals are nonzero, checked on what the formulas divide by, which for
     tiny blocks can underflow to 0 while the traces do not."""
-    tx_sq, ty_sq = tau_sq_pair
-    fx_fy = math.sqrt(frobenius_norm_sq(sx)) * math.sqrt(frobenius_norm_sq(sy))
-    if min(tx_sq, ty_sq) <= 0 or tx_sq * ty_sq == 0 or fx_fy == 0:
+    tx_sq, ty_sq = blocks.tau_sq
+    fx, fy = (math.sqrt(frobenius_norm_sq(s)) for s in (blocks.sigma_x, blocks.sigma_y))
+    if min(tx_sq, ty_sq) <= 0 or tx_sq * ty_sq == 0 or fx * fy == 0:
         raise DegenerateBlocks("marginal covariance blocks must be nonzero")
-    return tx_sq, ty_sq, fx_fy
+    return tx_sq, ty_sq, fx * fy
 
 
 def mean_expansion(blocks: CovarianceBlocks) -> float:
@@ -148,22 +152,29 @@ def mean_expansion(blocks: CovarianceBlocks) -> float:
 
     The relative remainder is O(1/min(tau_x, tau_y)) and is not computed.
     """
-    tx_sq, ty_sq, _ = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks)
     return frobenius_norm_sq(blocks.sigma_xy) / math.sqrt(tx_sq * ty_sq)
 
 
-def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int, tau_sq_pair) -> VarianceParts:
+def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
+    """First- and second-order variance contributions of the sample distance
+    covariance, and their sum; a block's marginal analogue is the value at
+    ``CovarianceBlocks(S, S, S)``.
+
+    sigma1 is a positive multiple of the variance of a Gaussian quadratic
+    form, so it is >= 0 for every valid covariance.
+    """
     if n < 2:
         raise SampleTooSmall(f"variance formula needs n >= 2, got {n}")
-    syx = sxy.T
-    tx_sq, ty_sq, _ = _nonzero_marginals(sx, sy, tau_sq_pair)
+    sx, sxy, sy = blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks)
     f2 = frobenius_norm_sq(sxy)
     # sigma1 = 4 Var(L) / (n tau_x^2 tau_y^2) for the quadratic form
     # L = X' S_xy Y - a |X|^2 - b |Y|^2 = Z' M Z of Z = (X, Y) ~ N(0, Sigma),
     # and Var(Z' M Z) = 2 tr((M Sigma)^2) (Isserlis), so sigma1 >= 0
     a, b = f2 / (2.0 * tx_sq), f2 / (2.0 * ty_sq)
-    m = np.block([[-a * np.eye(len(sx)), 0.5 * sxy], [0.5 * syx, -b * np.eye(len(sy))]])
-    ms = m @ np.block([[sx, sxy], [syx, sy]])
+    m = np.block([[-a * np.eye(len(sx)), 0.5 * sxy], [0.5 * sxy.T, -b * np.eye(len(sy))]])
+    ms = m @ blocks.full()
     sigma1 = 8.0 * float(np.sum(ms * ms.T)) / (n * tx_sq * ty_sq)
     sigma2 = (2.0 / (n * (n - 1) * tx_sq * ty_sq)) * (
         frobenius_norm_sq(sx) * frobenius_norm_sq(sy) + f2 * f2
@@ -171,34 +182,16 @@ def _variance_parts(sx: Matrix, sxy: Matrix, sy: Matrix, n: int, tau_sq_pair) ->
     return VarianceParts(sigma1, sigma2, sigma1 + sigma2)
 
 
-def sigma_bar_sq(blocks: CovarianceBlocks, n: int) -> VarianceParts:
-    """First- and second-order variance contributions of the sample distance
-    covariance, and their sum.
-
-    sigma1 is a positive multiple of the variance of a Gaussian quadratic
-    form, so it is >= 0 for every valid covariance.
-    """
-    return _variance_parts(blocks.sigma_x, blocks.sigma_xy, blocks.sigma_y, n, blocks.tau_sq)
-
-
-def sigma_bar_sq_marginal(sigma_x, n: int) -> VarianceParts:
-    """Marginal analogue of ``sigma_bar_sq`` for one block: its value at
-    S_x = S_y = S_xy = sigma_x. The blocks are not assembled, since
-    [[S, S], [S, S]] is singular."""
-    sx = check_symmetric(sigma_x, "sigma_x")
-    return _variance_parts(sx, sx, sx, n, (tau_sq(sx),) * 2)
-
-
 def local_param_A(blocks: CovarianceBlocks, n: int) -> float:
     """Local shift parameter n |S_xy|_F^2 / (|S_x|_F |S_y|_F)."""
-    _, _, fx_fy = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    _, _, fx_fy = _nonzero_marginals(blocks)
     return n * frobenius_norm_sq(blocks.sigma_xy) / fx_fy
 
 
 def null_standardized(blocks: CovarianceBlocks, n: int, rescaled):
     """n (tau_x tau_y v - |S_xy|_F^2) / (sqrt 2 |S_x|_F |S_y|_F) for statistics
     v already divided by their kernel scaling."""
-    tx_sq, ty_sq, fx_fy = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    tx_sq, ty_sq, fx_fy = _nonzero_marginals(blocks)
     f2 = frobenius_norm_sq(blocks.sigma_xy)
     return n * (math.sqrt(tx_sq * ty_sq) * rescaled - f2) / (math.sqrt(2.0) * fx_fy)
 
@@ -211,7 +204,7 @@ def _fluctuation_setup(name: str, sample: PairedSample, blocks: CovarianceBlocks
         raise ValueError(f"covariance blocks are ({blocks.p},{blocks.q}) but data is ({p},{q})")
     if sample.n < 2:
         raise SampleTooSmall(f"{name} needs n >= 2")
-    tx_sq, ty_sq, _ = _nonzero_marginals(blocks.sigma_x, blocks.sigma_y, blocks.tau_sq)
+    tx_sq, ty_sq, _ = _nonzero_marginals(blocks)
     return frobenius_norm_sq(blocks.sigma_xy), tx_sq, ty_sq, math.sqrt(tx_sq * ty_sq)
 
 
@@ -304,10 +297,6 @@ def theoretical_power(blocks: CovarianceBlocks, n: int, alpha: float) -> float:
     return normal_cdf(m - z) + normal_cdf(-m - z)
 
 
-# eigenvalues of the perturbation above this magnitude count as nontrivial
-NONTRIVIAL_TOL = 1e-8
-
-
 @dataclass
 class EigencheckReport:
     max_identity_error: float
@@ -337,11 +326,14 @@ def minimax_eigencheck(
         (1+l1)(1+l2) = (1+l3)(1+l4)
                      = 1 + a^2/(1-(apq)^2) (p^2 q^2 - <u1,u2><v1,v2>)
 
-    on the four largest-magnitude eigenvalues (zeros for any within
-    round-off of 0), reporting the smallest relative error over their three
-    pairings.
+    on the four largest-magnitude eigenvalues, reporting the smallest
+    relative error over their three pairings. Eigenvalues at or below
+    4 (p + q) eps max|spectrum|, eigvalsh's round-off, are zeros: they are
+    neither reported as nontrivial nor paired.
 
-    Requires nonempty sign vectors and |a| p q < 1.
+    Requires nonempty sign vectors and 1 - |a| p q >= 1e-3: closer to 1, a
+    plane's small eigenvalue 1/(1 + l_big) - 1 carries an absolute error of
+    about eps l_big, and the identity fails on a correct spectrum.
     """
     s1 = _sign_vector(u_signs[0], "u_signs[0]")
     s2 = _sign_vector(u_signs[1], "u_signs[1]")
@@ -352,8 +344,8 @@ def minimax_eigencheck(
     p, q = s1.size, t1.size
     if p == 0 or q == 0:
         raise ValueError("sign vectors must be nonempty")
-    if not abs(a) * p * q < 1.0:
-        raise ValueError(f"|a| p q = {abs(a) * p * q} must be < 1")
+    if not 1.0 - abs(a) * p * q >= 1e-3:
+        raise ValueError(f"|a| p q = {abs(a) * p * q} must be < 1 by at least 1e-3")
 
     u1, u2 = (np.concatenate([math.sqrt(q) * s, np.zeros(q)]) for s in (s1, s2))
     v1, v2 = (np.concatenate([np.zeros(p), math.sqrt(p) * t]) for t in (t1, t2))
@@ -367,19 +359,17 @@ def minimax_eigencheck(
     )
 
     spectrum = np.linalg.eigvalsh(pert)
-    nontrivial = spectrum[np.abs(spectrum) > NONTRIVIAL_TOL]
+    cut = 4 * (p + q) * np.finfo(float).eps * np.abs(spectrum).max()
+    nontrivial = spectrum[np.abs(spectrum) > cut]
 
     uu = float(u1 @ u2)
     vv = float(v1 @ v2)
     rhs = 1.0 + a * a / (1.0 - apq * apq) * (p * p * q * q - uu * vv)
 
-    # a collapsed plane's zero eigenvalues come out near eps |pert|, which
-    # passes the cut when |a| p q is near 1, so below 2 eps |pert| they are
-    # the zeros padding the four largest; with distinct eigenvalues,
-    # (1+l)(1+m) = rhs = (1+l)(1+m') forces m = m', so the spectrum pairs
-    # itself and the best of the three pairings is the identity's
-    round_off = 2.0 * np.finfo(float).eps * np.abs(spectrum).max()
-    big = sorted(nontrivial[np.abs(nontrivial) > round_off], key=abs)[-4:]
+    # zeros pad the four largest (a collapsed plane has fewer); with distinct
+    # eigenvalues, (1+l)(1+m) = rhs = (1+l)(1+m') forces m = m', so the
+    # spectrum pairs itself and the best of the three pairings is the identity's
+    big = sorted(nontrivial, key=abs)[-4:]
     factor = 1.0 + np.pad(big, (0, 4 - len(big)))
     err = min(
         max(abs(factor[0] * factor[i] - rhs), abs(factor[j] * factor[k] - rhs))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,13 +23,20 @@ from hsdcov.theory import (
     minimax_eigencheck,
     null_standardized,
     sigma_bar_sq,
-    sigma_bar_sq_marginal,
     tau_sq,
     tbar_fluctuation,
     theoretical_power,
     theory_report,
     varrho,
 )
+
+
+PSD_P = (1, 50, 100, 200, 400)
+
+
+def rank3_of_5():
+    m = np.random.default_rng(0).normal(size=(5, 3))
+    return m @ m.T
 
 
 def identity_case(p, rho):
@@ -69,6 +77,28 @@ class TestCovarianceBlocks:
     def test_identity_blocks_need_positive_dimensions(self, p, q):
         with pytest.raises(ValueError, match="must be positive"):
             CovarianceBlocks.identity_blocks(p, q, 0.1)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+    @pytest.mark.parametrize(
+        "design, psd",
+        [
+            *[
+                (lambda p=p: astuple(CovarianceBlocks.identity_blocks(p, p, 1.0)), True)
+                for p in PSD_P
+            ],
+            (lambda: (rank3_of_5(),) * 3, True),
+            # eigenvalues 1 +- rho with 1 - rho = -1e-3 (1 + rho)
+            (lambda: (np.eye(3), 1.001 / 0.999 * np.eye(3), np.eye(3)), False),
+        ],
+        ids=[f"identity_rho1_p{p}" for p in PSD_P] + ["marginal_sss", "indefinite"],
+    )
+    def test_psd_verdict_is_scale_free(self, design, psd, scale):
+        scaled = [scale * m for m in design()]
+        if psd:
+            CovarianceBlocks(*scaled)
+        else:
+            with pytest.raises(NotPositiveDefinite):
+                CovarianceBlocks(*scaled)
 
     def test_full_assembly(self):
         blocks = identity_case(2, 0.5)
@@ -180,7 +210,7 @@ class TestSigmaBarSqMarginal:
         spd = m @ m.T + 0.1 * np.eye(p)
         anisotropic = np.diag(np.exp(rng.normal(scale=2.0, size=p)))
         for sx in (spd, anisotropic):
-            got = sigma_bar_sq_marginal(sx, n)
+            got = sigma_bar_sq(CovarianceBlocks(sx, sx, sx), n)
             sigma1, sigma2 = marginal_expansion_oracle(sx, n)
             assert got.sigma1_sq == pytest.approx(sigma1, rel=1e-12)
             assert got.sigma2_sq == pytest.approx(sigma2, rel=1e-12)
@@ -188,30 +218,36 @@ class TestSigmaBarSqMarginal:
 
     def test_identity_closed_form(self):
         p, n = 9, 40
-        parts = sigma_bar_sq_marginal(np.eye(p), n)
+        parts = sigma_bar_sq(CovarianceBlocks(np.eye(p), np.eye(p), np.eye(p)), n)
         assert parts.sigma1_sq == pytest.approx(1.0 / (2 * n * p), rel=1e-12)
         assert parts.sigma2_sq == pytest.approx(1.0 / (n * (n - 1)), rel=1e-12)
 
     def test_second_order_vanishes_relatively_for_large_n(self):
         p = 5
-        ratio_small_n = (
-            sigma_bar_sq_marginal(np.eye(p), 10).sigma2_sq
-            / sigma_bar_sq_marginal(np.eye(p), 10).sigma1_sq
-        )
+        design = CovarianceBlocks(np.eye(p), np.eye(p), np.eye(p))
+        ratio_small_n = sigma_bar_sq(design, 10).sigma2_sq / sigma_bar_sq(design, 10).sigma1_sq
         ratio_large_n = (
-            sigma_bar_sq_marginal(np.eye(p), 10000).sigma2_sq
-            / sigma_bar_sq_marginal(np.eye(p), 10000).sigma1_sq
+            sigma_bar_sq(design, 10000).sigma2_sq / sigma_bar_sq(design, 10000).sigma1_sq
         )
         assert ratio_large_n < ratio_small_n / 100
         # rate: ratio = 2p/(n-1)
         assert ratio_large_n == pytest.approx(2 * p / 9999, rel=1e-9)
 
+    def test_high_dimensional_design(self):
+        # [[S, S], [S, S]] at p = 120 is singular and still a valid design
+        m = np.random.default_rng(12).normal(size=(120, 120))
+        sx = m @ m.T / 120 + np.eye(120)
+        got = sigma_bar_sq(CovarianceBlocks(sx, sx, sx), 300)
+        sigma1, sigma2 = marginal_expansion_oracle(sx, 300)
+        assert got.sigma1_sq == pytest.approx(sigma1, rel=1e-10)
+        assert got.sigma2_sq == pytest.approx(sigma2, rel=1e-12)
+
     def test_scaling_leaves_component_ratio_unchanged(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4, 4))
         sx = a @ a.T + 4 * np.eye(4)
-        base = sigma_bar_sq_marginal(sx, 25)
-        scaled = sigma_bar_sq_marginal(3.7 * sx, 25)
+        base = sigma_bar_sq(CovarianceBlocks(sx, sx, sx), 25)
+        scaled = sigma_bar_sq(CovarianceBlocks(3.7 * sx, 3.7 * sx, 3.7 * sx), 25)
         assert scaled.sigma1_sq / scaled.sigma2_sq == pytest.approx(
             base.sigma1_sq / base.sigma2_sq, rel=1e-10
         )
@@ -226,7 +262,7 @@ FLUCTUATION_SAMPLE = PairedSample(np.arange(18.0).reshape(6, 3), np.arange(12.0)
     [
         mean_expansion,
         lambda b: sigma_bar_sq(b, 50),
-        lambda b: sigma_bar_sq_marginal(b.sigma_x, 50),
+        lambda b: sigma_bar_sq(CovarianceBlocks(b.sigma_x, b.sigma_x, b.sigma_x), 50),
         lambda b: local_param_A(b, 50),
         lambda b: theoretical_power(b, 50, 0.05),
         lambda b: theory_report(b, 50),
@@ -256,7 +292,11 @@ def test_null_standardized_is_scale_free(scale):
 
 @pytest.mark.parametrize(
     "formula",
-    [sigma_bar_sq, lambda b, n: sigma_bar_sq_marginal(b.sigma_x, n), theory_report],
+    [
+        sigma_bar_sq,
+        lambda b, n: sigma_bar_sq(CovarianceBlocks(b.sigma_x, b.sigma_x, b.sigma_x), n),
+        theory_report,
+    ],
     ids=["sigma", "sigma_marginal", "report"],
 )
 def test_variance_needs_two_observations(formula):
@@ -441,23 +481,26 @@ class TestMinimaxEigencheck:
         assert report.max_identity_error <= 1e-12
 
     def test_near_singular_scale(self):
-        # round-off lifts trivial eigenvalues above the cut; the four largest
-        # still pair
+        # within 1e-3 of |a| p q = 1 a plane's small eigenvalue 1/(1 + l_big) - 1
+        # carries an error of about eps l_big, so the identity is not checkable
         rng = np.random.default_rng(5)
         p = q = 6
         u = (rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], p))
         v = (rng.choice([-1.0, 1.0], q), rng.choice([-1.0, 1.0], q))
-        report = minimax_eigencheck(u, v, (1 - 1e-12) / (p * q))
-        assert report.nontrivial_eigencount > 4
-        assert math.isfinite(report.max_identity_error)
+        for a in [(1 - gap) / (p * q) for gap in (1e-12, 1e-8, 1e-4, 9e-4)] + [-0.9999 / (p * q)]:
+            with pytest.raises(ValueError, match="must be < 1 by at least 1e-3"):
+                minimax_eigencheck(u, v, a)
+        report = minimax_eigencheck(u, v, (1 - 2e-3) / (p * q))
+        assert report.max_identity_error <= 1e-8
+        assert report.nontrivial_eigencount <= 4
 
     def test_round_off_zero_pairs_as_zero(self, monkeypatch):
-        # t2 = t1 collapses one plane, and near |a| p q = 1 the largest
-        # eigenvalue is about 1e8, so eps times it passes the 1e-8 cut
+        # t2 = t1 collapses one plane, whose zero eigenvalue eigvalsh returns at
+        # round-off: lifted to eps max|spectrum| it is neither counted nor paired
         args = (
             (np.ones(8), np.array([1.0, 1, -1, -1, -1, -1, -1, -1])),
             (np.ones(1), np.ones(1)),
-            (1 - 1e-8) / 8,
+            (1 - 2e-3) / 8,
         )
         eigvalsh = np.linalg.eigvalsh
 
@@ -474,8 +517,19 @@ class TestMinimaxEigencheck:
         exact = minimax_eigencheck(*args)
         monkeypatch.setattr(np.linalg, "eigvalsh", trivial_at(np.finfo(float).eps))
         lifted = minimax_eigencheck(*args)
-        assert lifted.nontrivial_eigencount == exact.nontrivial_eigencount + 1 == 4
-        assert lifted.max_identity_error == exact.max_identity_error
+        assert lifted.nontrivial_eigencount == exact.nontrivial_eigencount == 3
+        assert lifted.max_identity_error == exact.max_identity_error <= 1e-12
+
+    def test_tiny_scale_keeps_its_rank(self):
+        # the cut is relative to the spectrum, so a rank-four perturbation of
+        # size 1e-11 still shows four eigenvalues
+        rng = np.random.default_rng(1)
+        p = q = 6
+        u = (rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], p))
+        v = (rng.choice([-1.0, 1.0], q), rng.choice([-1.0, 1.0], q))
+        report = minimax_eigencheck(u, v, 1e-12)
+        assert report.nontrivial_eigencount == 4
+        assert report.max_identity_error <= 1e-8
 
     def test_wrong_spectrum_is_caught(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
